@@ -11,9 +11,10 @@
 //!   simulation clock sweeps across the grid's
 //!   [`Modulation`](gridstrat_sim::Modulation) (diurnal cycles, regime
 //!   shifts) and each task experiences the instantaneous law of its launch
-//!   time. Tasks are isolated through the engine's client-scope hooks
-//!   (owner-tagged jobs, namespaced timers), so a stale echo of a finished
-//!   task can never corrupt the next task's protocol state.
+//!   time. Each task runs in a [`TaskSession`] over the engine's
+//!   client-scope hooks (owner-tagged jobs, namespaced timers), so a stale
+//!   echo of a finished task can never corrupt the next task's protocol
+//!   state.
 //! * [`AdaptiveStrategy`] — wraps any [`Strategy`]: between tasks it feeds
 //!   its *own* per-job observations (exact latencies of started jobs,
 //!   right-censored waits of abandoned ones) into a
@@ -36,8 +37,9 @@
 
 use crate::cost::StrategyParams;
 use crate::latency::{LatencyModel, ParametricModel};
+use crate::session::TaskSession;
 use crate::strategy::Strategy;
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, Modulation, Notification};
+use gridstrat_sim::{GridConfig, GridSimulation, Modulation, SimDuration};
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::StreamingEcdf;
 use gridstrat_workload::{DiurnalModel, WeekModel};
@@ -514,47 +516,6 @@ impl SequenceOutcome {
     }
 }
 
-/// Filters engine notifications down to one task's scope, unwrapping
-/// namespaced timer tokens — the single-user analogue of the fleet's
-/// owner routing.
-struct ScopedTask<'a> {
-    inner: &'a mut dyn crate::executor::StrategyController,
-    scope: u64,
-}
-
-impl Controller for ScopedTask<'_> {
-    fn start(&mut self, sim: &mut GridSimulation) {
-        self.inner.start(sim);
-    }
-
-    fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
-        let ev = match ev {
-            Notification::Timer { token, at } => {
-                if token >> 32 != self.scope {
-                    return; // stale timer of a previous task
-                }
-                Notification::Timer {
-                    token: token & u32::MAX as u64,
-                    at,
-                }
-            }
-            Notification::JobStarted { id, .. }
-            | Notification::JobFinished { id, .. }
-            | Notification::JobFailed { id, .. } => {
-                if sim.job(id).owner != self.scope {
-                    return; // echo of a previous task's job
-                }
-                ev
-            }
-        };
-        self.inner.on_event(sim, ev);
-    }
-
-    fn done(&self) -> bool {
-        self.inner.done()
-    }
-}
-
 /// The adaptive side of a sequence run: the observation stream, the
 /// precomputed fast paths, and the scale tracker.
 struct AdaptState<'a> {
@@ -602,23 +563,15 @@ fn run_sequence(
     let mut sim = GridSimulation::new(Arc::clone(grid), seed)
         .expect("sequence grid configs are always valid");
     let mut params = initial;
-    let mut ctrl = params.build_controller();
+    let mut session = TaskSession::new(params.build_controller());
     let mut tasks = Vec::with_capacity(n_tasks);
     let mut retunes = 0usize;
 
     for task in 0..n_tasks {
-        let scope = task as u64 + 1;
         let launched_at = sim.now().as_secs();
-        let job_floor = sim.jobs().len();
-        ctrl.reset();
-        sim.set_scope(scope);
-        let mut scoped = ScopedTask {
-            inner: ctrl.as_mut(),
-            scope,
-        };
-        sim.run_controller(&mut scoped);
-        sim.set_scope(0);
-        let Some(j_abs) = ctrl.total_latency() else {
+        session.begin(task as u64 + 1, SimDuration::ZERO);
+        sim.run_controller(&mut session);
+        let Some(j_abs) = session.total_latency() else {
             break; // horizon reached mid-task
         };
         let latency = j_abs - launched_at;
@@ -630,42 +583,11 @@ fn run_sequence(
         if let Some(state) = adapt.as_mut() {
             state.tracker.observe_task(latency);
         }
-
-        // cancel this task's leftovers so they do not haunt later tasks
-        // (index loop: cancelling one job never flips another's state)
-        for idx in job_floor..sim.jobs().len() {
-            let rec = &sim.jobs()[idx];
-            if rec.owner == scope && !rec.state.is_terminal() && rec.started_at.is_none() {
-                let id = rec.id;
-                sim.cancel(id);
-            }
-        }
+        // leftovers of a finished task must not haunt later tasks
+        session.cancel_pending(&mut sim);
 
         if let Some(state) = adapt.as_mut() {
-            // feed the adaptive user's own per-job observations: exact
-            // latency for started jobs; for abandoned jobs, only waits
-            // that reached the timeout count as censoring evidence —
-            // copies cancelled early because the task already won are
-            // protocol cleanup, not information about the latency law
-            let now = sim.now().as_secs();
-            let t_inf = timeout_of(params);
-            for rec in &sim.jobs()[job_floor..] {
-                if rec.owner != scope {
-                    continue;
-                }
-                match rec.started_at {
-                    Some(st) => state
-                        .estimator
-                        .observe_started(st.since(rec.submitted_at).as_secs()),
-                    None => {
-                        let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                        let waited = (end - rec.submitted_at.as_secs()).max(0.0);
-                        if is_timeout_censored(waited, t_inf) {
-                            state.estimator.observe_censored(waited);
-                        }
-                    }
-                }
-            }
+            session.harvest(&sim, timeout_of(params), &mut state.estimator);
             if (task + 1).is_multiple_of(state.config.retune_every) && task + 1 < n_tasks {
                 let next = match state.policy.as_ref() {
                     // scale tracking: invert the observed decayed task-
@@ -681,7 +603,7 @@ fn run_sequence(
                 };
                 if next != params {
                     params = next;
-                    ctrl = params.build_controller();
+                    session = TaskSession::new(params.build_controller());
                     retunes += 1;
                 }
             }

@@ -54,6 +54,7 @@ pub mod cost;
 pub mod executor;
 pub mod latency;
 pub mod report;
+pub mod session;
 pub mod stability;
 pub mod strategy;
 pub mod transfer;
@@ -69,6 +70,7 @@ pub use executor::{
     StrategyController, StrategyExecutor,
 };
 pub use latency::{EmpiricalModel, LatencyModel, ParametricModel};
+pub use session::TaskSession;
 pub use strategy::{
     DelayedOutcome, DelayedResubmission, MultipleSubmission, SingleResubmission, Strategy,
     Timeout1d,

@@ -3,8 +3,8 @@
 
 use gridstrat_core::adaptive::AdaptiveConfig;
 use gridstrat_core::cost::StrategyParams;
-use gridstrat_core::executor::StrategyController;
 use gridstrat_core::strategy::Strategy;
+use gridstrat_core::TaskSession;
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::{StreamingEcdf, Summary};
 use rand::rngs::StdRng;
@@ -92,24 +92,21 @@ pub fn user_stream_seed(fleet_seed: u64, user: usize) -> u64 {
     derive_seed(fleet_seed, user as u64)
 }
 
-/// One member of the community: a strategy-built controller, the user's
-/// arrival RNG, and per-task progress bookkeeping.
+/// One member of the community: a strategy-built controller in a task
+/// session, the user's arrival RNG, and per-task progress bookkeeping.
 pub(crate) struct UserAgent {
     pub(crate) assignment: Assignment,
     /// The parameters currently in effect — starts at
     /// `assignment.strategy`, moves when an adaptive retune fires.
     pub(crate) params: StrategyParams,
-    pub(crate) ctrl: Box<dyn StrategyController>,
     pub(crate) rng: StdRng,
-    /// Task index currently (or last) in flight; doubles as the timer/job
-    /// epoch so events from finished tasks can never be misrouted.
-    pub(crate) epoch: u64,
     pub(crate) active: bool,
     pub(crate) tasks_done: usize,
     pub(crate) task_started_s: f64,
-    /// Engine job-table length at the current task's launch: the agent's
-    /// jobs of this task all live at or beyond this index.
-    pub(crate) task_job_floor: usize,
+    /// The controller, bound to the current task's engine scope —
+    /// `(user, epoch)` with the task index as epoch, so events from
+    /// finished tasks are never misrouted — and own jobs.
+    pub(crate) session: TaskSession,
     /// Streaming summary of the user's task latencies — bounded memory,
     /// so a 100k-user community does not hold one `Vec<f64>` per user.
     pub(crate) latency: Summary,
@@ -132,36 +129,30 @@ impl UserAgent {
         UserAgent {
             assignment,
             params: assignment.strategy,
-            ctrl: assignment.strategy.build_controller(),
             rng: StdRng::seed_from_u64(user_stream_seed(fleet_seed, index)),
-            epoch: 0,
             active: false,
             tasks_done: 0,
             task_started_s: 0.0,
-            task_job_floor: 0,
+            session: TaskSession::new(assignment.strategy.build_controller()),
             latency: Summary::new(),
             estimator,
         }
     }
 
     /// Rewinds the agent to its just-constructed state (bit-identically),
-    /// keeping allocations. The fleet-level analogue of
-    /// [`StrategyController::reset`].
+    /// keeping allocations. The session rewinds the controller itself at
+    /// every launch.
     pub(crate) fn reset(&mut self, index: usize, fleet_seed: u64) {
         if self.params != self.assignment.strategy {
             // an adaptive run moved the parameters: rebuild the controller
             // for the initial instance (plain users keep theirs)
             self.params = self.assignment.strategy;
-            self.ctrl = self.assignment.strategy.build_controller();
-        } else {
-            self.ctrl.reset();
+            self.session = TaskSession::new(self.assignment.strategy.build_controller());
         }
         self.rng = StdRng::seed_from_u64(user_stream_seed(fleet_seed, index));
-        self.epoch = 0;
         self.active = false;
         self.tasks_done = 0;
         self.task_started_s = 0.0;
-        self.task_job_floor = 0;
         self.latency = Summary::new();
         if let Some(est) = self.estimator.as_mut() {
             est.clear();

@@ -12,15 +12,18 @@
 //! * timer tokens are namespaced by the engine under the scope that was
 //!   active when the timer was armed, so two users' (or two tasks')
 //!   identical raw tokens can never collide;
-//! * the scope encodes `(user, task-epoch)`, so a stale timer or a
-//!   redundant copy surviving from an already-completed task is silently
-//!   dropped instead of corrupting the next task's protocol state.
+//! * the scope encodes `(user, task-epoch)`, and each agent's
+//!   [`TaskSession`](gridstrat_core::TaskSession) drops whatever is not
+//!   about its current task, so a stale timer or a redundant copy
+//!   surviving from an already-completed task is silently dropped instead
+//!   of corrupting the next task's protocol state.
 
 use crate::agent::{ArrivalProcess, Assignment, UserAgent};
 use crate::metrics::{FleetRun, GroupStream, UserOutcome};
 use crate::mix::MAX_USERS;
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::strategy::Strategy;
+use gridstrat_core::TaskSession;
 use gridstrat_sim::{Controller, GridSimulation, JobId, Notification, SimDuration};
 
 /// Scope bit layout: `(user + 1) << 16 | epoch` — 16 bits of task epoch,
@@ -53,6 +56,9 @@ fn decode_user_scope(scope: u64) -> Option<(usize, u64)> {
 pub struct FleetController {
     agents: Vec<UserAgent>,
     tasks_per_user: usize,
+    /// Users that have completed all `tasks_per_user` tasks, counted as
+    /// they finish so [`Controller::done`] is O(1) per event.
+    users_done: usize,
     exec: SimDuration,
     arrival: ArrivalProcess,
     /// Bit per engine job id, set for the start that completed a task
@@ -117,8 +123,8 @@ impl FleetController {
             assignments.len()
         );
         assert!(
-            tasks_per_user as u64 <= EPOCH_MASK,
-            "tasks_per_user must fit in the 16-bit epoch field"
+            (1..=EPOCH_MASK).contains(&(tasks_per_user as u64)),
+            "tasks_per_user must be positive and fit in the 16-bit epoch field"
         );
         assert!(group_window > 0, "group window must be positive");
         let n_groups = assignments.iter().map(|a| a.group + 1).max().unwrap_or(0);
@@ -137,6 +143,7 @@ impl FleetController {
                 .map(|(u, a)| UserAgent::new(u, *a, fleet_seed))
                 .collect(),
             tasks_per_user,
+            users_done: 0,
             exec: SimDuration::from_secs(task_exec_s),
             arrival,
             winner_bits: Vec::new(),
@@ -153,6 +160,7 @@ impl FleetController {
         for (u, agent) in self.agents.iter_mut().enumerate() {
             agent.reset(u, fleet_seed);
         }
+        self.users_done = 0;
         self.winner_bits.iter_mut().for_each(|w| *w = 0);
         for g in self.groups.iter_mut().flatten() {
             g.clear();
@@ -175,39 +183,29 @@ impl FleetController {
         sim.set_scope(0);
     }
 
-    /// Launches user `user`'s next task: rewinds the wrapped controller
-    /// and lets it open its protocol under the task's `(user, epoch)`
-    /// scope with the task's execution time as the default.
+    /// Launches user `user`'s next task: its session rewinds the wrapped
+    /// controller and lets it open its protocol under the task's
+    /// `(user, epoch)` scope with the task's execution time as the default.
     fn launch(&mut self, sim: &mut GridSimulation, user: usize) {
-        let exec = self.exec;
         let agent = &mut self.agents[user];
         debug_assert!(!agent.active, "launch while a task is in flight");
-        agent.epoch = agent.tasks_done as u64;
         agent.active = true;
         agent.task_started_s = sim.now().as_secs();
-        agent.task_job_floor = sim.jobs().len();
-        agent.ctrl.reset();
-        sim.set_scope(user_scope(user, agent.epoch));
-        sim.set_default_exec(exec);
-        agent.ctrl.start(sim);
-        sim.set_default_exec(SimDuration::ZERO);
-        sim.set_scope(0);
+        let scope = user_scope(user, agent.tasks_done as u64);
+        agent.session.begin(scope, self.exec);
+        agent.session.start(sim);
     }
 
-    /// Routes one notification to the owning agent (if it is still about
-    /// the agent's *current* task) and handles task completion.
-    fn deliver(&mut self, sim: &mut GridSimulation, user: usize, epoch: u64, ev: Notification) {
-        let exec = self.exec;
+    /// Routes one notification to the owning agent's session (which drops
+    /// it unless it is about the agent's *current* task) and handles task
+    /// completion.
+    fn deliver(&mut self, sim: &mut GridSimulation, user: usize, ev: Notification) {
         let agent = &mut self.agents[user];
-        if !agent.active || agent.epoch != epoch {
+        if !agent.active {
             return; // stale: an echo from an already-completed task
         }
-        sim.set_scope(user_scope(user, epoch));
-        sim.set_default_exec(exec);
-        agent.ctrl.on_event(sim, ev);
-        sim.set_default_exec(SimDuration::ZERO);
-        sim.set_scope(0);
-        let Some(j_abs) = agent.ctrl.total_latency() else {
+        agent.session.on_event(sim, ev);
+        let Some(j_abs) = agent.session.total_latency() else {
             return;
         };
         // task complete: the wrapped controller reports the absolute start
@@ -222,37 +220,22 @@ impl FleetController {
             .observe(task_latency);
         let agent = &mut self.agents[user];
         let more = agent.tasks_done < self.tasks_per_user;
-        // adaptive users: harvest this task's own per-job outcomes (exact
-        // latency for started jobs; abandoned waits only count as
-        // censoring evidence when they reached the timeout — copies
-        // cancelled early because the task won are protocol cleanup) and
+        if !more {
+            self.users_done += 1;
+        }
+        // adaptive users: harvest this task's own per-job outcomes and
         // re-tune every `retune_every` completed tasks
         if let (Some(cfg), Some(est)) = (agent.assignment.adaptive, agent.estimator.as_mut()) {
-            let now = sim.now().as_secs();
-            let scope = user_scope(user, epoch);
             let t_inf = gridstrat_core::adaptive::timeout_of(agent.params);
-            for rec in &sim.jobs()[agent.task_job_floor..] {
-                if rec.owner != scope
-                    || !matches!(rec.origin, gridstrat_sim::job::JobOrigin::Client)
-                {
-                    continue;
-                }
-                match rec.started_at {
-                    Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
-                    None => {
-                        let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                        let waited = (end - rec.submitted_at.as_secs()).max(0.0);
-                        if gridstrat_core::adaptive::is_timeout_censored(waited, t_inf) {
-                            est.observe_censored(waited);
-                        }
-                    }
-                }
-            }
+            #[cfg(not(test))]
+            agent.session.harvest(sim, t_inf, est);
+            #[cfg(test)]
+            tests::harvest(&agent.session, sim, t_inf, est);
             if more && agent.tasks_done.is_multiple_of(cfg.retune_every) {
                 let next = gridstrat_core::adaptive::retune_params(agent.params, est, &cfg);
                 if next != agent.params {
                     agent.params = next;
-                    agent.ctrl = next.build_controller();
+                    agent.session = TaskSession::new(next.build_controller());
                 }
             }
         }
@@ -341,35 +324,157 @@ impl Controller for FleetController {
 
     fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
         match ev {
-            Notification::Timer { token, at } => {
+            Notification::Timer { token, .. } => {
                 let scope = token >> 32;
-                let inner = token & u32::MAX as u64;
                 if scope == ARRIVAL_SCOPE {
-                    self.launch(sim, inner as usize);
-                } else if let Some((user, epoch)) = decode_user_scope(scope) {
-                    self.deliver(sim, user, epoch, Notification::Timer { token: inner, at });
+                    self.launch(sim, (token & u32::MAX as u64) as usize);
+                } else if let Some((user, _)) = decode_user_scope(scope) {
+                    self.deliver(sim, user, ev);
                 }
             }
             Notification::JobStarted { id, .. }
             | Notification::JobFinished { id, .. }
             | Notification::JobFailed { id, .. } => {
-                if let Some((user, epoch)) = decode_user_scope(sim.job(id).owner) {
-                    self.deliver(sim, user, epoch, ev);
+                if let Some((user, _)) = decode_user_scope(sim.job(id).owner) {
+                    self.deliver(sim, user, ev);
                 }
             }
         }
     }
 
     fn done(&self) -> bool {
-        self.agents
-            .iter()
-            .all(|a| a.tasks_done >= self.tasks_per_user)
+        let done = self.users_done == self.agents.len();
+        debug_assert_eq!(
+            done,
+            self.agents
+                .iter()
+                .all(|a| a.tasks_done >= self.tasks_per_user)
+        );
+        done
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::FleetConfig;
+    use gridstrat_core::adaptive::{AdaptiveConfig, RetunePolicy};
+    use gridstrat_sim::job::JobOrigin;
+    use gridstrat_stats::StreamingEcdf;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Harvest through the full-scan oracle instead of the session.
+        static FULL_SCAN: Cell<bool> = const { Cell::new(false) };
+        /// Session job-list lengths summed over every harvest.
+        static HARVESTED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// The adaptive agents' harvest under test: the session's own-job
+    /// harvest, or the full-scan oracle — every client job of the whole
+    /// table whose owner is the task's scope, in table order.
+    pub(super) fn harvest(
+        session: &TaskSession,
+        sim: &GridSimulation,
+        t_inf: f64,
+        est: &mut StreamingEcdf,
+    ) {
+        HARVESTED.set(HARVESTED.get() + session.jobs().len() as u64);
+        if !FULL_SCAN.get() {
+            return session.harvest(sim, t_inf, est);
+        }
+        let now = sim.now().as_secs();
+        for rec in sim.jobs() {
+            if rec.owner != session.scope() || rec.origin != JobOrigin::Client {
+                continue;
+            }
+            match rec.started_at {
+                Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
+                None => {
+                    let end = rec.terminated_at.map_or(now, |t| t.as_secs());
+                    let waited = (end - rec.submitted_at.as_secs()).max(0.0);
+                    if gridstrat_core::adaptive::is_timeout_censored(waited, t_inf) {
+                        est.observe_censored(waited);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An all-adaptive community on a scarce farm whose users retune every
+    /// two tasks from a reachable body count.
+    fn adaptive_fleet(users: usize) -> (GridSimulation, FleetController) {
+        let cfg = FleetConfig::small_farm(users / 3);
+        let adaptive = AdaptiveConfig {
+            retune_every: 2,
+            window: 100,
+            decay: 0.95,
+            min_body: 3,
+            policy: RetunePolicy::EmpiricalBackoff {
+                max_censored_fraction: 0.5,
+                growth: 1.5,
+            },
+        };
+        let assignments: Vec<Assignment> = (0..users)
+            .map(|u| Assignment {
+                strategy: if u % 2 == 0 {
+                    StrategyParams::Single { t_inf: 2000.0 }
+                } else {
+                    StrategyParams::Multiple {
+                        b: 2,
+                        t_inf: 2000.0,
+                    }
+                },
+                group: u % 2,
+                adaptive: Some(adaptive),
+            })
+            .collect();
+        let sim = GridSimulation::new(cfg.grid, 0x5E55).expect("valid farm");
+        let fleet = FleetController::new(
+            &assignments,
+            8,
+            300.0,
+            ArrivalProcess::ThinkTime { mean_s: 600.0 },
+            0xF1EE7,
+            cfg.group_window,
+        );
+        (sim, fleet)
+    }
+
+    #[test]
+    fn session_harvest_matches_full_scan_oracle() {
+        let run = |full_scan: bool| {
+            FULL_SCAN.set(full_scan);
+            let (mut sim, mut fleet) = adaptive_fleet(30);
+            sim.run_controller(&mut fleet);
+            FULL_SCAN.set(false);
+            let params: Vec<StrategyParams> = fleet.agents.iter().map(|a| a.params).collect();
+            let retuned = fleet
+                .agents
+                .iter()
+                .filter(|a| a.params != a.assignment.strategy)
+                .count();
+            // Debug prints every f64 at round-trip precision, so equal
+            // strings mean bit-identical runs
+            (format!("{:?}", fleet.collect(&sim)), params, retuned)
+        };
+        let (session_run, session_params, retuned) = run(false);
+        let (oracle_run, oracle_params, _) = run(true);
+        assert!(retuned > 0, "the fixture must exercise retuning");
+        assert_eq!(session_params, oracle_params);
+        assert_eq!(session_run, oracle_run);
+    }
+
+    #[test]
+    fn harvest_work_equals_own_jobs() {
+        // every client job belongs to exactly one adaptive task's session,
+        // so the harvests together visit each job once: O(own jobs)
+        let (mut sim, mut fleet) = adaptive_fleet(30);
+        HARVESTED.set(0);
+        sim.run_controller(&mut fleet);
+        assert!(fleet.done());
+        assert_eq!(HARVESTED.get(), sim.stats().client_submitted);
+    }
 
     #[test]
     fn scope_roundtrip() {

@@ -6,7 +6,11 @@
 use gridstrat_core::adaptive::{AdaptiveConfig, RetunePolicy};
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::executor::GridScenario;
-use gridstrat_fleet::{BestResponseSearch, FleetConfig, FleetSweep, StrategyGroup, StrategyMix};
+use gridstrat_fleet::{
+    ArrivalProcess, BestResponseSearch, FleetConfig, FleetController, FleetSweep, StrategyGroup,
+    StrategyMix,
+};
+use gridstrat_sim::{Controller, GridSimulation, Notification};
 
 fn test_config() -> FleetConfig {
     let mut cfg = FleetConfig::small_farm(12);
@@ -369,5 +373,74 @@ fn equilibrium_search_converges_and_is_deterministic() {
         assert_eq!(step.counts.iter().sum::<usize>(), 12);
         assert!(step.best_response < 2);
         assert!(step.deviation_latency.iter().all(|l| l.is_finite()));
+    }
+}
+
+/// Forwards to a fleet and checks after every notification that `done()`
+/// reads true exactly when every user has completed every task.
+struct DoneWatch<'a> {
+    fleet: &'a mut FleetController,
+    total_tasks: usize,
+    events: usize,
+}
+
+impl DoneWatch<'_> {
+    fn check(&self) {
+        assert_eq!(
+            self.fleet.done(),
+            self.fleet.tasks_completed() == self.total_tasks,
+            "done() out of step after {} events",
+            self.events
+        );
+    }
+}
+
+impl Controller for DoneWatch<'_> {
+    fn start(&mut self, sim: &mut GridSimulation) {
+        self.fleet.start(sim);
+        self.check();
+    }
+
+    fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
+        self.fleet.on_event(sim, ev);
+        self.events += 1;
+        self.check();
+    }
+
+    fn done(&self) -> bool {
+        self.fleet.done()
+    }
+}
+
+#[test]
+fn done_flips_exactly_when_the_last_user_finishes() {
+    let cfg = test_config();
+    let users = 15;
+    let total_tasks = users * cfg.tasks_per_user;
+    // think-time arrivals spread the users' finishes over the run
+    let mut fleet = FleetController::new(
+        &mixed_population().assignments(users),
+        cfg.tasks_per_user,
+        cfg.task_exec_s,
+        ArrivalProcess::ThinkTime { mean_s: 900.0 },
+        cfg.seed,
+        cfg.group_window,
+    );
+    let mut sim = GridSimulation::new(cfg.grid.clone(), 7).expect("valid farm");
+    for pass in 0..2 {
+        if pass == 1 {
+            fleet.reset(cfg.seed);
+            sim.reset(7);
+        }
+        assert!(!fleet.done(), "pass {pass}: done before the run");
+        let mut watch = DoneWatch {
+            fleet: &mut fleet,
+            total_tasks,
+            events: 0,
+        };
+        sim.run_controller(&mut watch);
+        assert!(watch.events > 0);
+        assert!(fleet.done(), "pass {pass}: not done after the run");
+        assert_eq!(fleet.tasks_completed(), total_tasks);
     }
 }

@@ -548,16 +548,7 @@ impl GridSimulation {
             RankingPolicy::LeastLoaded { stale_prob } => self.rng.gen::<f64>() < stale_prob,
         };
         if stale {
-            // weight-proportional random selection
-            let total: f64 = self.cfg.sites.iter().map(|s| s.weight).sum();
-            let mut x = self.rng.gen::<f64>() * total;
-            for (i, s) in self.cfg.sites.iter().enumerate() {
-                x -= s.weight;
-                if x <= 0.0 {
-                    return i;
-                }
-            }
-            self.cfg.sites.len() - 1
+            self.weighted_site()
         } else {
             // least (queue + running) / slots ratio; ties broken by index
             let mut best = 0usize;
@@ -672,12 +663,14 @@ impl GridSimulation {
         };
         let d = self.exp_delay(1.0 / bg.arrival_rate_per_s);
         // target site chosen at arrival time; store a placeholder here
-        let site = self.pick_background_site();
+        let site = self.weighted_site();
         self.queue
             .schedule(self.now.after(d), EventKind::BackgroundArrival { site });
     }
 
-    fn pick_background_site(&mut self) -> usize {
+    /// Weight-proportional random site: one uniform draw, none (site 0)
+    /// on an empty topology.
+    fn weighted_site(&mut self) -> usize {
         if self.cfg.sites.is_empty() {
             return 0;
         }
@@ -712,7 +705,7 @@ impl GridSimulation {
         if self.cfg.sites.is_empty() {
             return; // no topology to land on
         }
-        let site = self.pick_background_site();
+        let site = self.weighted_site();
         self.enqueue_background(site, exec);
     }
 

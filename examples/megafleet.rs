@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --example megafleet
+//! cargo run --release --example megafleet -- 0    # shard coupling 0
 //! ```
 //!
 //! The paper studies one user's submission strategy on an infrastructure
@@ -62,7 +63,12 @@ fn main() {
         SLOTS / SHARDS,
     );
 
-    let sharded = ShardedFleet::new(cfg, mix, USERS, SHARDS, GridScenario::baseline());
+    let mut sharded = ShardedFleet::new(cfg, mix, USERS, SHARDS, GridScenario::baseline());
+    // optional first argument: the shard coupling strength (default 1)
+    if let Some(arg) = std::env::args().nth(1) {
+        sharded.coupling = arg.parse().expect("coupling must be a number");
+        println!("shard coupling {}\n", sharded.coupling);
+    }
     let t0 = Instant::now();
     let run = sharded.run_replication(0);
     let wall = t0.elapsed().as_secs_f64();
