@@ -1,13 +1,16 @@
 //! Criterion benches for the numerical kernels behind the strategy models:
 //! ECDF construction and integral queries, the eq. 1–5 evaluations, and the
 //! optimizers. These are the operations a client-side scheduler would run
-//! online, so their costs matter beyond reproduction.
+//! online, so their costs matter beyond reproduction. The `sampling` group
+//! times the pieces of one Monte-Carlo trial below the executor: seed
+//! derivation and latency draws.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridstrat_bench::{model_for, DEFAULT_SEED};
 use gridstrat_core::latency::{EmpiricalModel, LatencyModel};
 use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
-use gridstrat_stats::Ecdf;
+use gridstrat_stats::rng::derived_rng;
+use gridstrat_stats::{Distribution, Ecdf};
 use gridstrat_workload::WeekId;
 
 fn trace_samples(n: usize) -> Vec<f64> {
@@ -167,7 +170,6 @@ fn bench_analysis_extensions(c: &mut Criterion) {
     use gridstrat_core::cost::StrategyParams;
     use gridstrat_core::strategy::JDistribution;
     use gridstrat_stats::hazard::HazardProfile;
-    use gridstrat_stats::rng::derived_rng;
 
     let trace = WeekId::W2006Ix.generate(DEFAULT_SEED);
     let model = EmpiricalModel::from_trace(&trace).unwrap();
@@ -202,6 +204,45 @@ fn bench_analysis_extensions(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sampling(c: &mut Criterion) {
+    // 1000 calls per iteration, as in `j_sampler_1000_draws`: one call
+    // takes tens of nanoseconds, too little to time on its own
+    const CALLS: u64 = 1000;
+    let week = WeekId::W2006Ix.model();
+    let body = week.body();
+    let mut rng = derived_rng(7, 0);
+    let mut g = c.benchmark_group("sampling");
+    g.bench_function("derived_rng_1000", |b| {
+        b.iter(|| {
+            for i in 0..CALLS {
+                black_box(derived_rng(0xBE7C, black_box(i)));
+            }
+        })
+    });
+    g.bench_function("week_sample_latency_1000", |b| {
+        b.iter(|| {
+            for _ in 0..CALLS {
+                black_box(week.sample_latency(&mut rng));
+            }
+        })
+    });
+    g.bench_function("body_construction_1000", |b| {
+        b.iter(|| {
+            for _ in 0..CALLS {
+                black_box(black_box(&week).body());
+            }
+        })
+    });
+    g.bench_function("prebuilt_body_sample_1000", |b| {
+        b.iter(|| {
+            for _ in 0..CALLS {
+                black_box(body.sample(&mut rng));
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_ecdf,
@@ -209,6 +250,7 @@ criterion_group!(
     bench_expectations,
     bench_optimizers,
     bench_model_construction,
-    bench_analysis_extensions
+    bench_analysis_extensions,
+    bench_sampling
 );
 criterion_main!(benches);

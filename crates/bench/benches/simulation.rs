@@ -1,12 +1,13 @@
 //! Criterion benches for the discrete-event simulator and the Monte-Carlo
 //! strategy executors: engine event throughput, probe-harness trace
-//! collection, and per-trial strategy execution cost.
+//! collection, per-trial strategy execution cost, and the batching
+//! overhead of a one-cell `ScenarioSweep` over the bare executor.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridstrat_core::cost::StrategyParams;
-use gridstrat_core::executor::{MonteCarloConfig, StrategyExecutor};
+use gridstrat_core::executor::{MonteCarloConfig, ScenarioSweep, StrategyExecutor};
 use gridstrat_sim::{GridConfig, GridSimulation, ProbeHarness};
-use gridstrat_workload::WeekModel;
+use gridstrat_workload::{WeekId, WeekModel};
 
 fn week() -> WeekModel {
     WeekModel::calibrate("bench", 500.0, 700.0, 0.10, 150.0, 10_000.0).unwrap()
@@ -89,10 +90,38 @@ fn bench_background_load(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sweep_single_cell_overhead(c: &mut Criterion) {
+    // one-cell sweep vs the same trials through StrategyExecutor: the
+    // batching layer should cost nothing beyond the trials themselves
+    let mut g = c.benchmark_group("sweep_overhead");
+    g.sample_size(10);
+    let cfg = MonteCarloConfig {
+        trials: 500,
+        seed: 0xBE7C,
+    };
+    let sweep = ScenarioSweep::over_strategies(
+        vec![StrategyParams::Single { t_inf: 700.0 }],
+        WeekId::W2006Ix,
+        cfg,
+    );
+    g.bench_function("one_cell_sweep_500_trials", |b| {
+        b.iter(|| black_box(sweep.run()))
+    });
+    let week = WeekId::W2006Ix.model();
+    g.bench_function("executor_500_trials", |b| {
+        b.iter(|| {
+            let ex = StrategyExecutor::new(week.clone(), cfg);
+            black_box(ex.run(StrategyParams::Single { t_inf: 700.0 }))
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_probe_harness,
     bench_strategy_trials,
-    bench_background_load
+    bench_background_load,
+    bench_sweep_single_cell_overhead
 );
 criterion_main!(benches);

@@ -42,7 +42,7 @@
 //! reports; the true `E[N_//(J)]` is available through the Monte-Carlo
 //! executor for comparison.
 
-use super::{Strategy, Timeout1d};
+use super::Strategy;
 use crate::cost::StrategyParams;
 use crate::executor::{DelayedCtrl, StrategyController};
 use crate::latency::LatencyModel;
@@ -276,17 +276,6 @@ impl DelayedResubmission {
             1e-4,
         );
         Self::evaluate(model, r.x, ratio * r.x)
-    }
-
-    /// Convenience: the single-resubmission view of a degenerate pair
-    /// (`t∞ = t0`), for cross-checks.
-    pub fn degenerate_as_single<M: LatencyModel + ?Sized>(model: &M, t0: f64) -> Timeout1d {
-        let (e, s) = Self::moments(model, t0, t0);
-        Timeout1d {
-            timeout: t0,
-            expectation: e,
-            std_dev: s,
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! independent engine shards, coupled through per-epoch background-load
 //! exchange.
 //!
-//! A single [`FleetController`] engine tops out at
+//! A single [`FleetController`](crate::FleetController) engine tops out at
 //! [`MAX_USERS`](crate::mix::MAX_USERS) users (the 16-bit user field of
 //! the scope encoding) and, more practically, at whatever one
 //! discrete-event loop can chew through. [`ShardedFleet`] scales past
@@ -16,7 +16,7 @@
 //! * **randomness**: shard `k` of replication seed `r` runs on
 //!   [`shard_seed`]`(r, k)` — shard 0 continues the unsharded stream,
 //!   which is what makes `shards = 1` **bit-identical** to running the
-//!   plain [`FleetController`];
+//!   plain [`FleetController`](crate::FleetController);
 //! * **coupling**: shards are not fully independent. Every `epoch_s`
 //!   simulated seconds each shard measures its busy fraction; the next
 //!   epoch, every other shard receives `coupling × (foreign busy
@@ -27,20 +27,20 @@
 //!
 //! # Determinism contract (pinned by `tests/shard.rs`)
 //!
-//! * `shards = 1` ⇒ bit-identical to [`FleetController`] via
-//!   [`crate::run_cell`]: same seeds, same code path, no epoch stepping.
+//! * `shards = 1` ⇒ bit-identical to
+//!   [`FleetController`](crate::FleetController) via [`crate::run_cell`]:
+//!   same seeds, same code path, no epoch stepping.
 //! * Any fixed shard count ⇒ bit-identical across thread counts and
 //!   across per-worker engine reuse: shards within a replication run
 //!   sequentially in shard order; rayon parallelism stays at the
 //!   replication level with index-derived seeds.
 
 use crate::agent::Assignment;
-use crate::controller::FleetController;
 use crate::metrics::{FleetCellOutcome, FleetRun};
 use crate::mix::{apportion, FleetConfig, StrategyMix, MAX_USERS};
-use crate::sweep::FLEET_STREAM;
+use crate::sweep::FleetWorker;
 use gridstrat_core::executor::GridScenario;
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, SimDuration, SimTime};
+use gridstrat_sim::{Controller, GridConfig, SimDuration, SimTime};
 use gridstrat_stats::rng::derive_seed;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -49,9 +49,10 @@ use std::sync::Arc;
 ///
 /// Shard 0 **continues the unsharded stream** (`shard_seed(r, 0) == r`),
 /// so a 1-shard community replays exactly the history the plain
-/// [`FleetController`] path produces; every further shard gets an
-/// independent `derive_seed` stream. Load-bearing layout — change only
-/// with a deliberate re-baselining of recorded sharded experiments.
+/// [`FleetController`](crate::FleetController) path produces; every
+/// further shard gets an independent `derive_seed` stream. Load-bearing
+/// layout — change only with a deliberate re-baselining of recorded
+/// sharded experiments.
 pub fn shard_seed(rep_seed: u64, shard: usize) -> u64 {
     if shard == 0 {
         rep_seed
@@ -93,7 +94,7 @@ struct ShardPlan {
 
 /// Reusable per-worker state: one engine + fleet pair per shard, rewound
 /// in place between replications.
-type ShardWorkers = Vec<(GridSimulation, FleetController)>;
+type ShardWorkers = Vec<FleetWorker>;
 
 impl ShardedFleet {
     /// Builds a sharded community with the default coupling (1-hour
@@ -266,27 +267,19 @@ impl ShardedFleet {
     fn build_workers(&self, plan: &ShardPlan, rep_seed: u64) -> ShardWorkers {
         (0..self.shards)
             .map(|k| {
-                let engine_seed = shard_seed(rep_seed, k);
-                let sim = GridSimulation::new(Arc::clone(&plan.grids[k]), engine_seed)
-                    .expect("sharded grids are validated at plan time");
-                let fleet = FleetController::new(
+                FleetWorker::new(
+                    &plan.grids[k],
                     &plan.assignments[k],
-                    self.config.tasks_per_user,
-                    self.config.task_exec_s,
-                    self.config.arrival,
-                    derive_seed(engine_seed, FLEET_STREAM),
-                    self.config.group_window,
-                );
-                (sim, fleet)
+                    &self.config,
+                    shard_seed(rep_seed, k),
+                )
             })
             .collect()
     }
 
     fn rewind_workers(workers: &mut ShardWorkers, rep_seed: u64) {
-        for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
-            let engine_seed = shard_seed(rep_seed, k);
-            sim.reset(engine_seed);
-            fleet.reset(derive_seed(engine_seed, FLEET_STREAM));
+        for (k, worker) in workers.iter_mut().enumerate() {
+            worker.rewind(shard_seed(rep_seed, k));
         }
     }
 
@@ -294,23 +287,21 @@ impl ShardedFleet {
     /// runs into one community-level [`FleetRun`].
     fn run_rep(&self, plan: &ShardPlan, workers: &mut ShardWorkers) -> FleetRun {
         if self.shards == 1 {
-            // same code path as FleetWorker / run_population: S = 1 is
+            // the same FleetWorker run a sweep cell makes: S = 1 is
             // bit-identical to the plain FleetController by construction
-            let (sim, fleet) = &mut workers[0];
-            sim.run_controller(fleet);
-            return fleet.collect(sim);
+            return workers[0].run();
         }
-        for (sim, fleet) in workers.iter_mut() {
+        for FleetWorker { sim, fleet } in workers.iter_mut() {
             sim.start_controller(fleet);
         }
         let exec = self.config.task_exec_s;
         let mut prev_started = vec![0u64; self.shards];
         let mut busy = vec![0.0f64; self.shards];
         let mut t_end = 0.0f64;
-        while workers.iter().any(|(_, f)| !f.done()) && t_end < plan.horizon_s {
+        while workers.iter().any(|w| !w.fleet.done()) && t_end < plan.horizon_s {
             t_end += self.epoch_s;
             let until = SimTime::from_secs(t_end);
-            for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
+            for (k, FleetWorker { sim, fleet }) in workers.iter_mut().enumerate() {
                 if !fleet.done() {
                     sim.step_controller_until(fleet, until);
                 }
@@ -324,7 +315,7 @@ impl ShardedFleet {
                 prev_started[k] = started;
             }
             if self.coupling > 0.0 && exec > 0.0 {
-                for (k, (sim, fleet)) in workers.iter_mut().enumerate() {
+                for (k, FleetWorker { sim, fleet }) in workers.iter_mut().enumerate() {
                     if fleet.done() {
                         continue;
                     }
@@ -352,7 +343,7 @@ impl ShardedFleet {
             }
         }
         merge_shard_runs(
-            workers.iter().map(|(sim, fleet)| fleet.collect(sim)),
+            workers.iter().map(FleetWorker::collect),
             self.config.tasks_per_user,
         )
     }

@@ -25,36 +25,49 @@ use std::sync::Arc;
 /// golden-vector tests alongside [`crate::agent::user_stream_seed`].
 pub const FLEET_STREAM: u64 = 0xF1EE7;
 
-/// Reusable per-worker state: one engine and one fleet controller, both
-/// rewound in place between replications of the same cell.
-struct FleetWorker {
-    sim: GridSimulation,
-    fleet: FleetController,
+/// One engine and one fleet controller, rewound in place between
+/// replications: the one place the crate builds, rewinds and runs an
+/// engine + fleet pair (sweep cells, shards and the equilibrium search).
+/// The fleet is seeded `derive_seed(engine_seed, FLEET_STREAM)`.
+pub(crate) struct FleetWorker {
+    pub(crate) sim: GridSimulation,
+    pub(crate) fleet: FleetController,
 }
 
 impl FleetWorker {
-    fn build(plan: &CellPlan, cfg: &FleetConfig, rep_seed: u64) -> Self {
+    pub(crate) fn new(
+        grid: &Arc<GridConfig>,
+        assignments: &[Assignment],
+        cfg: &FleetConfig,
+        engine_seed: u64,
+    ) -> Self {
         FleetWorker {
-            sim: GridSimulation::new(Arc::clone(&plan.grid), rep_seed)
-                .expect("sweep grids are validated at plan time"),
+            sim: GridSimulation::new(Arc::clone(grid), engine_seed)
+                .expect("fleet grids are validated by FleetConfig"),
             fleet: FleetController::new(
-                &plan.assignments,
+                assignments,
                 cfg.tasks_per_user,
                 cfg.task_exec_s,
                 cfg.arrival,
-                derive_seed(rep_seed, FLEET_STREAM),
+                derive_seed(engine_seed, FLEET_STREAM),
                 cfg.group_window,
             ),
         }
     }
 
-    fn rewind(&mut self, rep_seed: u64) {
-        self.sim.reset(rep_seed);
-        self.fleet.reset(derive_seed(rep_seed, FLEET_STREAM));
+    pub(crate) fn rewind(&mut self, engine_seed: u64) {
+        self.sim.reset(engine_seed);
+        self.fleet.reset(derive_seed(engine_seed, FLEET_STREAM));
     }
 
-    fn run(&mut self) -> FleetRun {
+    /// Runs the fleet to completion and collects its replication record.
+    pub(crate) fn run(&mut self) -> FleetRun {
         self.sim.run_controller(&mut self.fleet);
+        self.collect()
+    }
+
+    /// The replication record of the fleet's current state.
+    pub(crate) fn collect(&self) -> FleetRun {
         self.fleet.collect(&self.sim)
     }
 }
@@ -160,7 +173,11 @@ impl FleetSweep {
                     let rep_seed = derive_seed(plan.seed, (k % reps) as u64);
                     match slot {
                         Some((c, worker)) if *c == cell => worker.rewind(rep_seed),
-                        _ => *slot = Some((cell, FleetWorker::build(plan, cfg, rep_seed))),
+                        _ => {
+                            let worker =
+                                FleetWorker::new(&plan.grid, &plan.assignments, cfg, rep_seed);
+                            *slot = Some((cell, worker));
+                        }
                     }
                     let (_, worker) = slot.as_mut().expect("worker just installed");
                     worker.run()
@@ -209,16 +226,31 @@ pub(crate) fn run_population(
     assignments: &[Assignment],
     rep_seed: u64,
 ) -> FleetRun {
-    let mut sim = GridSimulation::new(Arc::clone(grid), rep_seed)
-        .expect("population grids are validated by FleetConfig");
-    let mut fleet = FleetController::new(
-        assignments,
-        config.tasks_per_user,
-        config.task_exec_s,
-        config.arrival,
-        derive_seed(rep_seed, FLEET_STREAM),
-        config.group_window,
-    );
-    sim.run_controller(&mut fleet);
-    fleet.collect(&sim)
+    FleetWorker::new(grid, assignments, config, rep_seed).run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agent::ArrivalProcess;
+    use gridstrat_core::cost::StrategyParams;
+
+    #[test]
+    fn rewound_worker_replays_a_fresh_one() {
+        // think-time arrivals draw from the agents' streams, so this also
+        // pins the fleet seed that rewind derives from the engine seed
+        let mut cfg = FleetConfig::small_farm(8);
+        cfg.tasks_per_user = 3;
+        cfg.arrival = ArrivalProcess::ThinkTime { mean_s: 600.0 };
+        let grid = Arc::new(cfg.grid.clone());
+        let mix = StrategyMix::pure("single", StrategyParams::Single { t_inf: 3_000.0 });
+        let assignments = mix.assignments(12);
+        let mut worker = FleetWorker::new(&grid, &assignments, &cfg, 1);
+        let first = format!("{:?}", worker.run());
+        worker.rewind(2);
+        let rewound = format!("{:?}", worker.run());
+        let fresh = format!("{:?}", FleetWorker::new(&grid, &assignments, &cfg, 2).run());
+        assert_eq!(rewound, fresh);
+        assert_ne!(first, fresh, "the seed must reach the run");
+    }
 }

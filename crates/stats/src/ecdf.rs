@@ -18,6 +18,7 @@
 //!   (the building blocks of the paper's eqs. 1–4), and
 //! * exact product integrals over shifted survival functions (eq. 5).
 
+#[cfg(test)]
 use crate::stepfn::StepFn;
 use std::sync::{Arc, RwLock};
 
@@ -434,8 +435,10 @@ impl Ecdf {
         (body_sum + outliers * self.threshold) / self.n_total as f64
     }
 
-    /// Materialises `F̃` as a [`StepFn`] (breakpoints at distinct samples).
-    pub fn to_stepfn(&self) -> StepFn {
+    /// Materialises `F̃` as a [`StepFn`] (breakpoints at distinct samples):
+    /// the exact-integral oracle the accelerated queries are tested against.
+    #[cfg(test)]
+    pub(crate) fn to_stepfn(&self) -> StepFn {
         let n = self.n_total as f64;
         let mut breaks = Vec::with_capacity(self.xs.len());
         let mut values = Vec::with_capacity(self.xs.len() + 1);

@@ -1,6 +1,6 @@
 //! Numerical quadrature for parametric latency models.
 //!
-//! Empirical CDFs integrate exactly (see [`crate::stepfn`]); parametric
+//! Empirical CDFs integrate exactly (see [`crate::ecdf`]); parametric
 //! models (log-normal bodies etc.) need quadrature. Adaptive Simpson with a
 //! recursion-depth safeguard is accurate and cheap for the smooth, bounded
 //! integrands that appear in the strategy equations.

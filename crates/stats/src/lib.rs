@@ -9,8 +9,9 @@
 //!   equations (1)–(5) are integrals of `1 - F̃_R(u)` and products of shifted
 //!   copies of it. For an empirical CDF these are integrals of piecewise
 //!   constant functions and can be computed *exactly* (no quadrature error).
-//!   The [`stepfn`] module provides the step-function algebra and [`ecdf`]
-//!   the prefix-sum accelerated empirical CDF built on it.
+//!   [`ecdf`] provides the prefix-sum accelerated empirical CDF; a
+//!   test-only step-function algebra is the oracle its integrals are
+//!   checked against.
 //! * **Parametric latency distributions with censored-data MLE fitting** —
 //!   log-normal, Weibull, Pareto, exponential bodies plus outlier mixtures
 //!   ([`dist`], [`fit`]), used both to synthesize EGEE-like traces and to
@@ -38,7 +39,8 @@ pub mod hazard;
 pub mod integrate;
 pub mod optimize;
 pub mod rng;
-pub mod stepfn;
+#[cfg(test)]
+mod stepfn;
 pub mod streaming;
 pub mod summary;
 
@@ -49,6 +51,5 @@ pub use dist::{
 pub use ecdf::Ecdf;
 pub use fit::{fit_exponential, fit_lognormal, fit_pareto, fit_weibull, ks_statistic, FitReport};
 pub use hazard::{HazardProfile, HazardTrend};
-pub use stepfn::StepFn;
 pub use streaming::{Observation, StreamingEcdf};
 pub use summary::Summary;

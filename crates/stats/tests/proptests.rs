@@ -9,95 +9,15 @@
 use gridstrat_stats::dist::{normal_cdf, Distribution};
 use gridstrat_stats::optimize::{golden_section, grid_min_1d, grid_min_2d, GridSpec};
 use gridstrat_stats::rng::derived_rng;
-use gridstrat_stats::{Ecdf, Exponential, LogNormal, Pareto, StepFn, Summary, Weibull};
+use gridstrat_stats::{Ecdf, Exponential, LogNormal, Pareto, Summary, Weibull};
 use rand::rngs::StdRng;
 use rand::Rng;
 
 const CASES: usize = 128;
 
-fn sorted_breaks(rng: &mut StdRng) -> Vec<f64> {
-    let n = rng.gen_range(1..12usize);
-    let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(0.001..1000.0f64)).collect();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    v.dedup();
-    v
-}
-
-fn stepfn(rng: &mut StdRng) -> StepFn {
-    let breaks = sorted_breaks(rng);
-    let values: Vec<f64> = (0..breaks.len() + 1)
-        .map(|_| rng.gen_range(-5.0..5.0f64))
-        .collect();
-    StepFn::new(breaks, values).unwrap()
-}
-
 fn samples(rng: &mut StdRng, lo: f64, hi: f64, min_n: usize, max_n: usize) -> Vec<f64> {
     let n = rng.gen_range(min_n..max_n);
     (0..n).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
-#[test]
-fn stepfn_integral_is_additive() {
-    let mut rng = derived_rng(0x57A7, 1);
-    for case in 0..CASES {
-        let f = stepfn(&mut rng);
-        let a = rng.gen_range(-10.0..1100.0f64);
-        let b = rng.gen_range(-10.0..1100.0f64);
-        let c = rng.gen_range(-10.0..1100.0f64);
-        let whole = f.integral(a, c);
-        let split = f.integral(a, b) + f.integral(b, c);
-        assert!(
-            (whole - split).abs() < 1e-8 * (1.0 + whole.abs()),
-            "case {case}: {whole} vs {split}"
-        );
-    }
-}
-
-#[test]
-fn stepfn_shift_preserves_integrals() {
-    let mut rng = derived_rng(0x57A7, 2);
-    for case in 0..CASES {
-        let f = stepfn(&mut rng);
-        let s = rng.gen_range(-200.0..200.0f64);
-        let g = f.shift(s);
-        let i_f = f.integral(0.0, 1000.0);
-        let i_g = g.integral(s, 1000.0 + s);
-        assert!(
-            (i_f - i_g).abs() < 1e-7 * (1.0 + i_f.abs()),
-            "case {case}: {i_f} vs {i_g}"
-        );
-    }
-}
-
-#[test]
-fn stepfn_product_pointwise() {
-    let mut rng = derived_rng(0x57A7, 3);
-    for case in 0..CASES {
-        let f = stepfn(&mut rng);
-        let g = stepfn(&mut rng);
-        let p = f.product(&g);
-        for _ in 0..8 {
-            let x = rng.gen_range(-10.0..1100.0f64);
-            assert!(
-                (p.eval(x) - f.eval(x) * g.eval(x)).abs() < 1e-9,
-                "case {case} at x = {x}"
-            );
-        }
-    }
-}
-
-#[test]
-fn stepfn_compact_is_semantically_identity() {
-    let mut rng = derived_rng(0x57A7, 4);
-    for case in 0..CASES {
-        let f = stepfn(&mut rng);
-        let c = f.compact();
-        assert!(c.len() <= f.len(), "case {case}");
-        for _ in 0..8 {
-            let x = rng.gen_range(-10.0..1100.0f64);
-            assert_eq!(c.eval(x), f.eval(x), "case {case} at x = {x}");
-        }
-    }
 }
 
 #[test]
@@ -119,47 +39,6 @@ fn ecdf_is_monotone_and_bounded() {
             assert!(v <= 1.0 - e.outlier_ratio() + 1e-12, "case {case}");
             prev = v;
         }
-    }
-}
-
-#[test]
-fn ecdf_survival_integral_matches_stepfn() {
-    let mut rng = derived_rng(0x57A7, 6);
-    for case in 0..CASES {
-        let xs = samples(&mut rng, 0.1, 20_000.0, 2, 40);
-        if !xs.iter().any(|&x| x < 10_000.0) {
-            continue;
-        }
-        let t = rng.gen_range(0.0..12_000.0f64);
-        let e = Ecdf::from_samples(&xs, 10_000.0).unwrap();
-        let surv = e.to_stepfn().map(|v| 1.0 - v);
-        assert!(
-            (e.survival_integral(t) - surv.integral(0.0, t)).abs() < 1e-6,
-            "case {case}"
-        );
-        assert!(
-            (e.moment_survival_integral(t) - surv.moment_integral(0.0, t)).abs() < 1e-3,
-            "case {case}"
-        );
-    }
-}
-
-#[test]
-fn ecdf_product_integrals_match_stepfn() {
-    let mut rng = derived_rng(0x57A7, 7);
-    for case in 0..CASES {
-        let xs = samples(&mut rng, 0.1, 9_000.0, 2, 30);
-        let shift = rng.gen_range(0.0..2_000.0f64);
-        let l = rng.gen_range(0.0..3_000.0f64);
-        let e = Ecdf::from_samples(&xs, 10_000.0).unwrap();
-        let surv = e.to_stepfn().map(|v| 1.0 - v);
-        let prod = surv.shift(-shift).product(&surv);
-        let (c, d) = e.survival_product_integrals(shift, l);
-        assert!((c - prod.integral(0.0, l)).abs() < 1e-6, "case {case}");
-        assert!(
-            (d - prod.moment_integral(0.0, l)).abs() < 1e-2,
-            "case {case}"
-        );
     }
 }
 
