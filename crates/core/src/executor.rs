@@ -10,18 +10,26 @@
 //! [`Strategy::build_controller`], so the executor never matches on
 //! strategy variants.
 //!
-//! Two entry points share the same trial kernel:
+//! Two entry points share one trial loop:
 //!
 //! * [`StrategyExecutor`] — many trials of **one** strategy on **one**
-//!   latency law (the validation workhorse);
+//!   latency law (the validation workhorse), run as a one-cell sweep;
 //! * [`ScenarioSweep`] — a (strategy × week × grid-scenario) grid evaluated
 //!   in **one** parallel pass. Every cell gets its own RNG stream via
 //!   `derive_seed(master, cell)` and trials within a cell use
-//!   `derive_seed(cell_seed, trial)`, and results are aggregated in index
-//!   order — so the entire sweep is **bit-identical for any thread count**.
+//!   `derive_seed(cell_seed, trial)`.
+//!
+//! The flat (cell × trial) index space runs through
+//! [`crate::replicate::fold_ordered`]: each pool lane runs 8,192
+//! consecutive trials per round, and the calling thread folds every
+//! round's outcomes into the cells' Welford summaries in trial order
+//! before the next round. The fold order is the index order, so results
+//! are **bit-identical for any thread count**, and memory is bounded by
+//! the lanes (256 KiB of outcomes each), not by the trial count.
 
 use crate::cost::StrategyParams;
 use crate::latency::ParametricModel;
+use crate::replicate::fold_ordered;
 use crate::strategy::Strategy;
 use gridstrat_sim::{
     Controller, GridConfig, GridSimulation, JobId, LatencyMode, Notification, SimDuration,
@@ -29,7 +37,6 @@ use gridstrat_sim::{
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::Summary;
 use gridstrat_workload::{WeekId, WeekModel, MAX_FAULT_RATIO};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A [`Controller`] realising a submission strategy, exposing the realised
@@ -81,63 +88,60 @@ pub struct MonteCarloEstimate {
     pub completed_trials: usize,
 }
 
-/// Reusable per-worker trial state: one engine and one controller, both
+/// Trials one pool lane runs between two folds of
+/// [`crate::replicate::fold_ordered`]: 8,192 outcomes of 32 bytes, 256 KiB per lane.
+const TRIAL_CHUNK: usize = 8_192;
+
+/// One Monte-Carlo cell: trial `t` runs `strategy` on `grid` seeded
+/// `derive_seed(seed, t)`.
+struct TrialCell<'a> {
+    grid: Arc<GridConfig>,
+    strategy: &'a dyn Strategy,
+    seed: u64,
+}
+
+/// Reusable per-lane trial state: one engine and one controller, both
 /// rewound in place between trials so the hot loop never touches the
-/// allocator. Workers obtain one lazily through [`TrialWorker::obtain`]
-/// from a `map_init` scratch slot.
+/// allocator.
 struct TrialWorker {
     sim: GridSimulation,
     ctrl: Box<dyn StrategyController>,
-    /// Identity of the `(grid, strategy)` pair this worker was built for —
-    /// reusing it for a different pair would silently drive the wrong
-    /// protocol, so `obtain` guards against that in debug builds.
-    #[cfg(debug_assertions)]
-    built_for: (Arc<GridConfig>, StrategyParams),
 }
 
 impl TrialWorker {
-    /// Returns the slot's worker primed for a `(grid, strategy, seed)`
-    /// trial: the first call constructs engine + controller, later calls
-    /// rewind them in place. Engine `reset` and controller `reset` are
-    /// bit-exact, so whether a trial ran on a fresh or a reused worker is
-    /// unobservable — the property that keeps sweep results identical
-    /// across thread counts (chunk boundaries decide reuse patterns).
+    /// Returns the lane's worker primed for trial `seed` of `cell`: built
+    /// on first use and whenever the lane crosses into another cell,
+    /// rewound in place otherwise. Engine `reset` and controller `reset`
+    /// are bit-exact, so whether a trial ran on a fresh or a reused worker
+    /// is unobservable — the property that keeps results identical across
+    /// thread counts (chunk boundaries decide reuse patterns).
     fn obtain<'s>(
-        slot: &'s mut Option<TrialWorker>,
-        grid: &Arc<GridConfig>,
-        strategy: &dyn Strategy,
+        slot: &'s mut Option<(usize, TrialWorker)>,
+        cell: usize,
+        plan: &TrialCell<'_>,
         seed: u64,
     ) -> &'s mut TrialWorker {
         match slot {
-            Some(worker) => {
-                #[cfg(debug_assertions)]
-                {
-                    debug_assert!(
-                        Arc::ptr_eq(&worker.built_for.0, grid)
-                            && worker.built_for.1 == strategy.params(),
-                        "TrialWorker reused for a different (grid, strategy) pair"
-                    );
-                }
+            Some((c, worker)) if *c == cell => {
                 worker.sim.reset(seed);
                 worker.ctrl.reset();
             }
-            None => {
-                *slot = Some(TrialWorker {
-                    sim: GridSimulation::new(Arc::clone(grid), seed)
+            _ => {
+                let worker = TrialWorker {
+                    sim: GridSimulation::new(Arc::clone(&plan.grid), seed)
                         .expect("executor grid configs are always valid"),
-                    ctrl: strategy.build_controller(),
-                    #[cfg(debug_assertions)]
-                    built_for: (Arc::clone(grid), strategy.params()),
-                });
+                    ctrl: plan.strategy.build_controller(),
+                };
+                *slot = Some((cell, worker));
             }
         }
-        slot.as_mut().expect("worker just installed")
+        &mut slot.as_mut().expect("worker just installed").1
     }
 
     /// One trial on the primed engine: returns
-    /// `(J, submissions, parallel-average)`, or `None` if no job started
-    /// before the horizon. The shared kernel of both executors.
-    fn run(&mut self) -> Option<(f64, f64, f64)> {
+    /// `[J, submissions, parallel-average]`, or `None` if no job started
+    /// before the horizon.
+    fn run(&mut self) -> Option<[f64; 3]> {
         let sim = &mut self.sim;
         sim.run_controller(self.ctrl.as_mut());
         let j = self.ctrl.total_latency()?;
@@ -171,28 +175,46 @@ impl TrialWorker {
             integral += end.min(j) - s;
         }
         let n_par = if j > 0.0 { integral / j } else { 1.0 };
-        Some((j, submissions, n_par))
+        Some([j, submissions, n_par])
     }
 }
 
-/// Folds per-trial outcomes — **in trial order** — into an estimate.
-fn aggregate(outcomes: impl IntoIterator<Item = Option<(f64, f64, f64)>>) -> MonteCarloEstimate {
-    let mut j_sum = Summary::new();
-    let mut sub_sum = Summary::new();
-    let mut par_sum = Summary::new();
-    for (j, subs, par) in outcomes.into_iter().flatten() {
-        j_sum.push(j);
-        sub_sum.push(subs);
-        par_sum.push(par);
-    }
+/// The estimate of one cell from the Welford summaries of its `J`,
+/// submission counts and parallel-job averages.
+fn estimate([j, submissions, parallel]: &[Summary; 3]) -> MonteCarloEstimate {
     MonteCarloEstimate {
-        mean_j: j_sum.mean(),
-        stderr_j: j_sum.stderr(),
-        std_j: j_sum.std(),
-        mean_submissions: sub_sum.mean(),
-        mean_parallel: par_sum.mean(),
-        completed_trials: j_sum.count() as usize,
+        mean_j: j.mean(),
+        stderr_j: j.stderr(),
+        std_j: j.std(),
+        mean_submissions: submissions.mean(),
+        mean_parallel: parallel.mean(),
+        completed_trials: j.count() as usize,
     }
+}
+
+/// Runs `trials` trials of every cell over the flat (cell × trial) index
+/// space, `chunk` trials per lane and round, and folds each cell's
+/// outcomes in trial order — the one trial loop of both executors.
+fn run_cells(cells: &[TrialCell<'_>], trials: usize, chunk: usize) -> Vec<MonteCarloEstimate> {
+    let mut folds = vec![[Summary::new(); 3]; cells.len()];
+    fold_ordered(
+        cells.len() * trials,
+        chunk,
+        |slot, k| {
+            let cell = k / trials;
+            let plan = &cells[cell];
+            let seed = derive_seed(plan.seed, (k % trials) as u64);
+            TrialWorker::obtain(slot, cell, plan, seed).run()
+        },
+        |k, outcome| {
+            if let Some(xs) = outcome {
+                for (summary, x) in folds[k / trials].iter_mut().zip(xs) {
+                    summary.push(x);
+                }
+            }
+        },
+    );
+    folds.iter().map(estimate).collect()
 }
 
 /// Runs submission strategies against an oracle- or resample-mode grid.
@@ -240,24 +262,19 @@ impl StrategyExecutor {
 
     /// Runs `trials` independent executions of the strategy and aggregates.
     ///
-    /// Trials execute on the rayon pool but are aggregated in trial order,
-    /// so the estimate is **bit-identical** for any thread count. Each
-    /// worker thread reuses one engine + controller across all its trials
-    /// (`map_init` scratch), so the per-trial cost is the protocol itself,
-    /// not allocator traffic.
+    /// The one-cell case of the [`ScenarioSweep`] trial loop: trials run
+    /// on the rayon pool in rounds and are folded in trial order as they
+    /// finish, so the estimate is **bit-identical** for any thread count
+    /// and memory stays bounded by the pool, not by `trials`. Each lane
+    /// reuses one engine + controller across all its trials, so the
+    /// per-trial cost is the protocol itself, not allocator traffic.
     pub fn run_strategy(&self, strategy: &dyn Strategy) -> MonteCarloEstimate {
-        let grid = &self.grid;
-        let outcomes: Vec<Option<(f64, f64, f64)>> = (0..self.config.trials)
-            .into_par_iter()
-            .map_init(
-                || None::<TrialWorker>,
-                |slot, trial| {
-                    let seed = derive_seed(self.config.seed, trial as u64);
-                    TrialWorker::obtain(slot, grid, strategy, seed).run()
-                },
-            )
-            .collect();
-        aggregate(outcomes)
+        let cell = TrialCell {
+            grid: Arc::clone(&self.grid),
+            strategy,
+            seed: self.config.seed,
+        };
+        run_cells(&[cell], self.config.trials, TRIAL_CHUNK).remove(0)
     }
 
     /// Convenience wrapper over [`StrategyExecutor::run_strategy`] for
@@ -383,7 +400,8 @@ pub struct ScenarioOutcome {
 /// (`cell = (s·|weeks| + w)·|scenarios| + g`); the flat (cell × trial)
 /// index space is distributed over the thread pool as a whole, so small
 /// sweeps still saturate the machine and wall-clock is bounded by total
-/// work, not by the slowest cell.
+/// work, not by the slowest cell. Outcomes are folded as they finish, so
+/// the sweep never holds one outcome per trial.
 #[derive(Debug, Clone)]
 pub struct ScenarioSweep {
     /// Strategy instances to evaluate (plain-data form).
@@ -457,81 +475,43 @@ impl ScenarioSweep {
     ///
     /// Returns one outcome per cell, in cell order. Bit-identical for any
     /// thread count: per-trial RNGs are derived from
-    /// `(derive_seed(seed, cell), trial)` and aggregation runs in index
-    /// order on the calling thread.
+    /// `(derive_seed(seed, cell), trial)` and the calling thread folds the
+    /// outcomes in index order as the rounds finish.
     pub fn run(&self) -> Vec<ScenarioOutcome> {
-        struct CellPlan {
-            strategy: StrategyParams,
-            week: WeekId,
-            scenario: String,
-            grid: Arc<GridConfig>,
-            seed: u64,
-        }
-
-        let trials = self.config.trials;
-        let mut plans = Vec::with_capacity(self.n_cells());
-        let mut analytic = Vec::with_capacity(self.n_cells());
+        let mut cells = Vec::with_capacity(self.n_cells());
+        let mut outcomes = Vec::with_capacity(self.n_cells());
         for strategy in &self.strategies {
             for &week in &self.weeks {
                 let base = week.model();
                 for scenario in &self.scenarios {
                     let model = scenario.apply(&base);
-                    let cell = plans.len() as u64;
                     // closed forms on the scenario-adjusted parametric law
                     // (evaluated once; N_// is derived from the expectation)
                     let reference =
                         ParametricModel::new(model.body(), model.rho, model.threshold_s)
                             .expect("scenario-adjusted models stay valid");
                     let e = strategy.expected_j(&reference);
-                    analytic.push((e, strategy.n_parallel_for(e)));
-                    plans.push(CellPlan {
-                        strategy: *strategy,
-                        week,
-                        scenario: scenario.name.clone(),
+                    outcomes.push((*strategy, week, scenario.name.clone(), e));
+                    cells.push(TrialCell {
                         grid: Arc::new(GridConfig::oracle(model)),
-                        seed: derive_seed(self.config.seed, cell),
+                        strategy,
+                        seed: derive_seed(self.config.seed, cells.len() as u64),
                     });
                 }
             }
         }
 
-        let total = plans.len() * trials;
-        let plans_ref = &plans;
-        // the flat (cell × trial) index space is chunked over the pool;
-        // each worker keeps one engine + controller alive and rewinds them
-        // per trial, rebuilding only when its chunk crosses into a cell
-        // with a different grid/strategy
-        let outcomes: Vec<Option<(f64, f64, f64)>> = (0..total)
-            .into_par_iter()
-            .map_init(
-                || None::<(usize, Option<TrialWorker>)>,
-                move |state, k| {
-                    let cell = k / trials;
-                    let plan = &plans_ref[cell];
-                    let trial = (k % trials) as u64;
-                    let seed = derive_seed(plan.seed, trial);
-                    match state {
-                        Some((c, _)) if *c == cell => {}
-                        _ => *state = Some((cell, None)),
-                    }
-                    let (_, slot) = state.as_mut().expect("cell slot just installed");
-                    TrialWorker::obtain(slot, &plan.grid, &plan.strategy, seed).run()
-                },
-            )
-            .collect();
-
-        plans
-            .iter()
-            .zip(analytic)
-            .enumerate()
+        run_cells(&cells, self.config.trials, TRIAL_CHUNK)
+            .into_iter()
+            .zip(outcomes)
             .map(
-                |(c, (plan, (analytic_e_j, analytic_n_parallel)))| ScenarioOutcome {
-                    strategy: plan.strategy,
-                    week: plan.week,
-                    scenario: plan.scenario.clone(),
+                |(estimate, (strategy, week, scenario, analytic_e_j))| ScenarioOutcome {
+                    strategy,
+                    week,
+                    scenario,
                     analytic_e_j,
-                    analytic_n_parallel,
-                    estimate: aggregate(outcomes[c * trials..(c + 1) * trials].iter().copied()),
+                    analytic_n_parallel: strategy.n_parallel_for(analytic_e_j),
+                    estimate,
                 },
             )
             .collect()
@@ -1197,6 +1177,148 @@ mod tests {
         for (x, y) in before.iter().zip(&after) {
             assert_eq!(x.estimate.mean_j.to_bits(), y.estimate.mean_j.to_bits());
         }
+    }
+
+    // --- streamed fold vs the collect-everything oracle ----------------------
+
+    /// The pre-streaming path: every trial of every cell runs on a fresh
+    /// worker, all outcomes are collected, then each cell is folded.
+    fn collect_then_aggregate(cells: &[TrialCell<'_>], trials: usize) -> Vec<MonteCarloEstimate> {
+        let outcomes: Vec<Vec<Option<[f64; 3]>>> = cells
+            .iter()
+            .enumerate()
+            .map(|(c, plan)| {
+                (0..trials)
+                    .map(|t| {
+                        let seed = derive_seed(plan.seed, t as u64);
+                        TrialWorker::obtain(&mut None, c, plan, seed).run()
+                    })
+                    .collect()
+            })
+            .collect();
+        outcomes
+            .iter()
+            .map(|cell| {
+                let (mut j, mut subs, mut par) = (Summary::new(), Summary::new(), Summary::new());
+                for &[a, b, c] in cell.iter().flatten() {
+                    j.push(a);
+                    subs.push(b);
+                    par.push(c);
+                }
+                MonteCarloEstimate {
+                    mean_j: j.mean(),
+                    stderr_j: j.stderr(),
+                    std_j: j.std(),
+                    mean_submissions: subs.mean(),
+                    mean_parallel: par.mean(),
+                    completed_trials: j.count() as usize,
+                }
+            })
+            .collect()
+    }
+
+    fn on_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool")
+            .install(f)
+    }
+
+    #[test]
+    fn streamed_cells_match_the_collect_then_aggregate_oracle() {
+        // 37 trials per cell: not a multiple of any chunk or lane count
+        // below, so rounds end mid-chunk and chunks straddle cells. The
+        // second grid's horizon cuts trials short (outcome `None`).
+        let w = week();
+        let mut cut = GridConfig::oracle(w.clone());
+        cut.horizon = SimDuration::from_secs(450.0);
+        let (full, cut) = (Arc::new(GridConfig::oracle(w)), Arc::new(cut));
+        let single = StrategyParams::Single { t_inf: 700.0 };
+        let delayed = StrategyParams::Delayed {
+            t0: 400.0,
+            t_inf: 560.0,
+        };
+        let cells = [
+            TrialCell {
+                grid: Arc::clone(&full),
+                strategy: &single,
+                seed: 11,
+            },
+            TrialCell {
+                grid: Arc::clone(&cut),
+                strategy: &delayed,
+                seed: 12,
+            },
+            TrialCell {
+                grid: full,
+                strategy: &delayed,
+                seed: 13,
+            },
+        ];
+        let trials = 37;
+        let oracle = collect_then_aggregate(&cells, trials);
+        let cut_done = oracle[1].completed_trials;
+        assert!(
+            cut_done > 0 && cut_done < trials,
+            "the horizon must cut some trials, not all ({cut_done} of {trials} completed)"
+        );
+        for chunk in [1, 5, 8, 40, TRIAL_CHUNK] {
+            for threads in [1, 2, 3, 7] {
+                let streamed = on_threads(threads, || run_cells(&cells, trials, chunk));
+                assert_eq!(
+                    format!("{streamed:?}"),
+                    format!("{oracle:?}"),
+                    "chunk {chunk}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_and_executor_match_the_oracle_across_full_chunks() {
+        // one trial more than a chunk: the second chunk runs into the next
+        // cell, and the last round is a single trial
+        let trials = TRIAL_CHUNK + 1;
+        let sweep = ScenarioSweep::over_strategies(
+            vec![
+                StrategyParams::Single { t_inf: 700.0 },
+                StrategyParams::Multiple { b: 2, t_inf: 800.0 },
+            ],
+            WeekId::W2007_51,
+            MonteCarloConfig { trials, seed: 21 },
+        );
+        let grid = Arc::new(GridConfig::oracle(WeekId::W2007_51.model()));
+        let cells: Vec<TrialCell<'_>> = sweep
+            .strategies
+            .iter()
+            .enumerate()
+            .map(|(c, strategy)| TrialCell {
+                grid: Arc::clone(&grid),
+                strategy,
+                seed: derive_seed(21, c as u64),
+            })
+            .collect();
+        let oracle = collect_then_aggregate(&cells, trials);
+        for threads in [1, 2, 3, 7] {
+            let out = on_threads(threads, || sweep.run());
+            let streamed: Vec<MonteCarloEstimate> = out.iter().map(|o| o.estimate).collect();
+            assert_eq!(
+                format!("{streamed:?}"),
+                format!("{oracle:?}"),
+                "{threads} threads"
+            );
+        }
+        // the executor is the one-cell case of the same trial loop
+        let exec = StrategyExecutor::new(
+            WeekId::W2007_51.model(),
+            MonteCarloConfig {
+                trials,
+                seed: cells[1].seed,
+            },
+        );
+        let one = on_threads(3, || exec.run(sweep.strategies[1]));
+        assert_eq!(format!("{one:?}"), format!("{:?}", oracle[1]));
     }
 
     #[test]

@@ -27,6 +27,10 @@
 //!   plus the batched [`executor::ScenarioSweep`] evaluating a
 //!   (strategy × week × grid-scenario) grid in one thread-count-independent
 //!   rayon pass;
+//! * [`replicate`] — the ordered replication fold behind the
+//!   executors and the `gridstrat-fleet` sweeps: outputs are folded in
+//!   index order as pool rounds finish, so memory is bounded by the pool,
+//!   not by the trial or replication count;
 //! * [`adaptive`] — online-adapting strategies on *nonstationary* live
 //!   grids: the back-to-back task-sequence harness, the
 //!   [`adaptive::AdaptiveStrategy`] wrapper re-tuning timeouts from its
@@ -53,6 +57,7 @@ pub mod application;
 pub mod cost;
 pub mod executor;
 pub mod latency;
+pub mod replicate;
 pub mod report;
 pub mod session;
 pub mod stability;

@@ -285,70 +285,130 @@ pub struct FleetCellOutcome {
 
 impl FleetCellOutcome {
     /// Aggregates the replications of one cell (reps must be non-empty and
-    /// share the same population shape).
+    /// share the same population shape): the [`CellFold`] the sweeps
+    /// stream replications into, fed from a slice.
     pub fn aggregate(
         mix: impl Into<String>,
         users: usize,
         scenario: impl Into<String>,
         reps: &[FleetRun],
     ) -> Self {
-        assert!(!reps.is_empty(), "cannot aggregate zero replications");
-        let n_groups = reps.iter().map(|r| r.groups.len()).max().unwrap_or(0);
-        let mut groups: Vec<GroupReport> = Vec::with_capacity(n_groups);
-        for g in 0..n_groups {
-            let mut pooled: Option<GroupReport> = None;
-            for rep in reps {
-                let Some(stream) = rep.groups.get(g).and_then(Option::as_ref) else {
-                    continue;
-                };
-                match &mut pooled {
-                    // apportionment can leave a group with zero users at
-                    // small community sizes (e.g. weights [0.5, 0.2, 0.3]
-                    // over 2 users); such groups stay `None` and simply
-                    // have nothing to report
-                    None => {
-                        pooled = Some(GroupReport {
-                            group: stream.group,
-                            strategy: stream.strategy,
-                            users: stream.members,
-                            tasks_completed: 0, // filled below from the pooled count
-                            latency: stream.latency,
-                            window: stream.window.clone(),
-                        })
-                    }
-                    Some(p) => {
-                        p.latency.merge(&stream.latency);
-                        p.window.absorb(&stream.window);
-                    }
+        let mut fold = CellFold::new();
+        for rep in reps {
+            fold.absorb(rep);
+        }
+        fold.finish(mix, users, scenario)
+    }
+}
+
+/// One cell's replications folded in replication order as they finish:
+/// the pooled group reports, the pooled latency summary and the
+/// per-replication scalars the cell averages. Holds no [`FleetRun`], so a
+/// cell costs `O(groups × window + replications)` however many users a
+/// replication has.
+pub(crate) struct CellFold {
+    /// Pooled reports by group index; `None` until a replication reports
+    /// the group (apportionment can leave a group with zero users at
+    /// small community sizes, e.g. weights [0.5, 0.2, 0.3] over 2 users —
+    /// such a group has nothing to report).
+    groups: Vec<Option<GroupReport>>,
+    /// Task latency pooled over every user of every replication.
+    pooled: Summary,
+    /// Per replication: fairness, slot waste, utilisation and makespan,
+    /// kept to be summed in replication order.
+    scalars: Vec<[f64; 4]>,
+    tasks_completed: usize,
+    tasks_total: usize,
+    submissions: u64,
+    wasted_starts: u64,
+}
+
+impl CellFold {
+    pub(crate) fn new() -> Self {
+        CellFold {
+            groups: Vec::new(),
+            pooled: Summary::new(),
+            scalars: Vec::new(),
+            tasks_completed: 0,
+            tasks_total: 0,
+            submissions: 0,
+            wasted_starts: 0,
+        }
+    }
+
+    /// Folds the next replication in.
+    pub(crate) fn absorb(&mut self, rep: &FleetRun) {
+        if rep.groups.len() > self.groups.len() {
+            self.groups.resize_with(rep.groups.len(), || None);
+        }
+        for (pooled, stream) in self.groups.iter_mut().zip(&rep.groups) {
+            let Some(stream) = stream else { continue };
+            match pooled {
+                None => {
+                    *pooled = Some(GroupReport {
+                        group: stream.group,
+                        strategy: stream.strategy,
+                        users: stream.members,
+                        tasks_completed: 0, // filled in by finish()
+                        latency: stream.latency,
+                        window: stream.window.clone(),
+                    })
+                }
+                Some(p) => {
+                    p.latency.merge(&stream.latency);
+                    p.window.absorb(&stream.window);
                 }
             }
-            if let Some(mut p) = pooled {
-                p.tasks_completed = p.latency.count() as usize;
-                groups.push(p);
-            }
         }
-        let mean = |f: fn(&FleetRun) -> f64| reps.iter().map(f).sum::<f64>() / reps.len() as f64;
-        let mut pooled = Summary::new();
-        for rep in reps {
-            for u in &rep.users {
-                pooled.merge(&u.latency);
-            }
+        for u in &rep.users {
+            self.pooled.merge(&u.latency);
         }
+        self.scalars.push([
+            rep.fairness(),
+            rep.slot_waste(),
+            rep.utilization(),
+            rep.makespan_s,
+        ]);
+        self.tasks_completed += rep.tasks_completed();
+        self.tasks_total += rep.users.len() * rep.tasks_per_user;
+        self.submissions += rep.client_submitted;
+        self.wasted_starts += rep.wasted_starts();
+    }
+
+    /// The cell outcome of every replication absorbed so far (at least
+    /// one).
+    pub(crate) fn finish(
+        self,
+        mix: impl Into<String>,
+        users: usize,
+        scenario: impl Into<String>,
+    ) -> FleetCellOutcome {
+        let reps = self.scalars.len();
+        assert!(reps > 0, "cannot aggregate zero replications");
+        let mean = |i: usize| self.scalars.iter().map(|s| s[i]).sum::<f64>() / reps as f64;
         FleetCellOutcome {
             mix: mix.into(),
             users,
             scenario: scenario.into(),
-            replications: reps.len(),
-            groups,
-            mean_latency: pooled.mean(),
-            fairness: mean(FleetRun::fairness),
-            slot_waste: mean(FleetRun::slot_waste),
-            utilization: mean(FleetRun::utilization),
-            makespan_s: mean(|r| r.makespan_s),
-            tasks_completed: reps.iter().map(FleetRun::tasks_completed).sum(),
-            tasks_total: reps.iter().map(|r| r.users.len() * r.tasks_per_user).sum(),
-            submissions: reps.iter().map(|r| r.client_submitted).sum(),
-            wasted_starts: reps.iter().map(FleetRun::wasted_starts).sum(),
+            replications: reps,
+            mean_latency: self.pooled.mean(),
+            fairness: mean(0),
+            slot_waste: mean(1),
+            utilization: mean(2),
+            makespan_s: mean(3),
+            tasks_completed: self.tasks_completed,
+            tasks_total: self.tasks_total,
+            submissions: self.submissions,
+            wasted_starts: self.wasted_starts,
+            groups: self
+                .groups
+                .into_iter()
+                .flatten()
+                .map(|mut g| {
+                    g.tasks_completed = g.latency.count() as usize;
+                    g
+                })
+                .collect(),
         }
     }
 }
@@ -506,6 +566,80 @@ mod tests {
         assert_eq!(e.n_total(), 4);
         assert!((cell.groups[0].quantile(1.0) - 400.0).abs() < 1e-12);
         assert!((cell.groups[0].quantile(0.0) - 100.0).abs() < 1e-12);
+    }
+
+    /// The batch pooling `aggregate` did before the streamed [`CellFold`]:
+    /// group by group over every replication, then the cell scalars.
+    fn batch_oracle(reps: &[FleetRun]) -> FleetCellOutcome {
+        let n_groups = reps.iter().map(|r| r.groups.len()).max().unwrap_or(0);
+        let mut groups = Vec::new();
+        for g in 0..n_groups {
+            let mut pooled: Option<GroupReport> = None;
+            for stream in reps.iter().filter_map(|r| r.groups.get(g)?.as_ref()) {
+                match &mut pooled {
+                    None => {
+                        pooled = Some(GroupReport {
+                            group: stream.group,
+                            strategy: stream.strategy,
+                            users: stream.members,
+                            tasks_completed: 0,
+                            latency: stream.latency,
+                            window: stream.window.clone(),
+                        })
+                    }
+                    Some(p) => {
+                        p.latency.merge(&stream.latency);
+                        p.window.absorb(&stream.window);
+                    }
+                }
+            }
+            if let Some(mut p) = pooled {
+                p.tasks_completed = p.latency.count() as usize;
+                groups.push(p);
+            }
+        }
+        let mean = |f: fn(&FleetRun) -> f64| reps.iter().map(f).sum::<f64>() / reps.len() as f64;
+        let mut pooled = Summary::new();
+        for u in reps.iter().flat_map(|r| &r.users) {
+            pooled.merge(&u.latency);
+        }
+        FleetCellOutcome {
+            mix: "m".into(),
+            users: 3,
+            scenario: "baseline".into(),
+            replications: reps.len(),
+            groups,
+            mean_latency: pooled.mean(),
+            fairness: mean(FleetRun::fairness),
+            slot_waste: mean(FleetRun::slot_waste),
+            utilization: mean(FleetRun::utilization),
+            makespan_s: mean(|r| r.makespan_s),
+            tasks_completed: reps.iter().map(FleetRun::tasks_completed).sum(),
+            tasks_total: reps.iter().map(|r| r.users.len() * r.tasks_per_user).sum(),
+            submissions: reps.iter().map(|r| r.client_submitted).sum(),
+            wasted_starts: reps.iter().map(FleetRun::wasted_starts).sum(),
+        }
+    }
+
+    #[test]
+    fn aggregate_matches_the_batch_pooling_oracle() {
+        // replications whose group vectors differ in length and in which
+        // groups are empty, so the fold must open groups late and skip gaps
+        let mut reps = vec![
+            run_from(vec![(0, vec![100.0, 130.0]), (2, vec![300.0])]),
+            run_from(vec![(0, vec![90.0]), (1, vec![210.0, 190.0])]),
+            run_from(vec![(1, vec![250.0]), (0, vec![110.0, 95.0, 120.0])]),
+            run_from(vec![(0, vec![80.0])]),
+        ];
+        reps[1].makespan_s = 1234.5;
+        reps[2].useful_busy_s = 123.0;
+        reps[3].total_busy_s = 1999.0;
+        let cell = FleetCellOutcome::aggregate("m", 3, "baseline", &reps);
+        assert_eq!(format!("{cell:?}"), format!("{:?}", batch_oracle(&reps)));
+        assert_eq!(
+            cell.groups.iter().map(|g| g.group).collect::<Vec<_>>(),
+            [0, 1, 2]
+        );
     }
 
     #[test]

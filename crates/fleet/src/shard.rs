@@ -33,16 +33,17 @@
 //! * Any fixed shard count ⇒ bit-identical across thread counts and
 //!   across per-worker engine reuse: shards within a replication run
 //!   sequentially in shard order; rayon parallelism stays at the
-//!   replication level with index-derived seeds.
+//!   replication level with index-derived seeds, and replications are
+//!   folded in replication order.
 
 use crate::agent::Assignment;
-use crate::metrics::{FleetCellOutcome, FleetRun};
+use crate::metrics::{CellFold, FleetCellOutcome, FleetRun};
 use crate::mix::{apportion, FleetConfig, StrategyMix, MAX_USERS};
-use crate::sweep::FleetWorker;
+use crate::sweep::{FleetWorker, REPLICATION_CHUNK};
 use gridstrat_core::executor::GridScenario;
+use gridstrat_core::replicate::fold_ordered;
 use gridstrat_sim::{Controller, GridConfig, SimDuration, SimTime};
 use gridstrat_stats::rng::derive_seed;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Engine seed of shard `k` within a replication seeded `rep_seed`.
@@ -359,9 +360,11 @@ impl ShardedFleet {
         self.run_rep(&plan, &mut workers)
     }
 
-    /// Evaluates every replication in one parallel pass (per-worker
-    /// engine/fleet reuse, bit-identical for any thread count) and
-    /// aggregates them into a cell outcome.
+    /// Evaluates every replication in one parallel pass (per-lane
+    /// engine/fleet reuse, bit-identical for any thread count) and folds
+    /// them into a cell outcome in replication order as they finish: the
+    /// run holds at most one merged [`FleetRun`] per pool lane, never all
+    /// of them.
     ///
     /// Seed layout mirrors [`crate::run_cell`]'s single-cell sweep
     /// (`rep_seed = derive_seed(derive_seed(master, 0), rep)`), so a
@@ -369,27 +372,25 @@ impl ShardedFleet {
     pub fn run(&self) -> FleetCellOutcome {
         self.validate().expect("valid sharded fleet");
         let plan = self.plan();
-        let plan_ref = &plan;
         let cell_seed = derive_seed(self.config.seed, 0);
-        let runs: Vec<FleetRun> = (0..self.config.replications)
-            .into_par_iter()
-            .map_init(
-                || None::<ShardWorkers>,
-                move |slot, rep| {
-                    let rep_seed = derive_seed(cell_seed, rep as u64);
-                    match slot {
-                        Some(workers) => Self::rewind_workers(workers, rep_seed),
-                        None => *slot = Some(self.build_workers(plan_ref, rep_seed)),
-                    }
-                    self.run_rep(plan_ref, slot.as_mut().expect("workers just installed"))
-                },
-            )
-            .collect();
-        FleetCellOutcome::aggregate(
+        let mut fold = CellFold::new();
+        fold_ordered(
+            self.config.replications,
+            REPLICATION_CHUNK,
+            |slot: &mut Option<ShardWorkers>, rep| {
+                let rep_seed = derive_seed(cell_seed, rep as u64);
+                match slot {
+                    Some(workers) => Self::rewind_workers(workers, rep_seed),
+                    None => *slot = Some(self.build_workers(&plan, rep_seed)),
+                }
+                self.run_rep(&plan, slot.as_mut().expect("workers just installed"))
+            },
+            |_, run| fold.absorb(&run),
+        );
+        fold.finish(
             self.mix.name.clone(),
             self.users,
             self.scenario.name.clone(),
-            &runs,
         )
     }
 }

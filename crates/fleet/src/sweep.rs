@@ -1,22 +1,26 @@
 //! Batched evaluation of a (strategy-mix × community-size × grid-scenario)
 //! grid of community experiments in one parallel pass.
 //!
-//! The layout mirrors `gridstrat_core::executor::ScenarioSweep`: the flat
-//! (cell × replication) index space is distributed over the rayon pool as
-//! a whole, each worker keeps one engine + fleet controller alive and
-//! rewinds them in place between replications (rebuilding only when its
-//! chunk crosses into a different cell), and every replication derives its
-//! own RNG streams from `(master, cell, rep)` — so the entire sweep is
-//! **bit-identical for any thread count**.
+//! The layout mirrors `gridstrat_core::executor::ScenarioSweep` and runs
+//! through the same ordered fold, `gridstrat_core::replicate::fold_ordered`:
+//! the flat (cell × replication) index space is spread over the rayon
+//! pool one replication per lane and round, each lane keeps one engine +
+//! fleet controller alive and rewinds them in place between replications
+//! (rebuilding only when it crosses into a different cell), and every
+//! replication derives its own RNG streams from `(master, cell, rep)`.
+//! The calling thread folds each round's replications into their cells in
+//! index order, so the entire sweep is **bit-identical for any thread
+//! count** and holds at most one [`FleetRun`] per lane — never every
+//! replication's per-user records.
 
 use crate::agent::Assignment;
 use crate::controller::FleetController;
-use crate::metrics::{FleetCellOutcome, FleetRun};
+use crate::metrics::{CellFold, FleetCellOutcome, FleetRun};
 use crate::mix::{FleetConfig, StrategyMix};
 use gridstrat_core::executor::GridScenario;
+use gridstrat_core::replicate::fold_ordered;
 use gridstrat_sim::{GridConfig, GridSimulation};
 use gridstrat_stats::rng::derive_seed;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Stream index separating the fleet's agent RNGs from the engine RNG
@@ -24,6 +28,11 @@ use std::sync::Arc;
 /// `fleet_seed = derive_seed(rep_seed, FLEET_STREAM)`. Pinned by
 /// golden-vector tests alongside [`crate::agent::user_stream_seed`].
 pub const FLEET_STREAM: u64 = 0xF1EE7;
+
+/// Replications one pool lane runs between two folds of
+/// [`gridstrat_core::replicate::fold_ordered`]: a community sweep holds at most
+/// one [`FleetRun`] per lane.
+pub(crate) const REPLICATION_CHUNK: usize = 1;
 
 /// One engine and one fleet controller, rewound in place between
 /// replications: the one place the crate builds, rewinds and runs an
@@ -140,7 +149,9 @@ impl FleetSweep {
     ///
     /// Returns one aggregated outcome per cell, in cell order (mix-major,
     /// then community size, then scenario). Bit-identical for any thread
-    /// count.
+    /// count. Replications are folded into their cells in index order as
+    /// they finish, so memory is bounded by the pool (one [`FleetRun`] per
+    /// lane), not by `replications × community size`.
     pub fn run(&self) -> Vec<FleetCellOutcome> {
         let reps = self.config.replications;
         let mut plans = Vec::with_capacity(self.n_cells());
@@ -160,40 +171,36 @@ impl FleetSweep {
             }
         }
 
-        let total = plans.len() * reps;
-        let plans_ref = &plans;
         let cfg = &self.config;
-        let runs: Vec<FleetRun> = (0..total)
-            .into_par_iter()
-            .map_init(
-                || None::<(usize, FleetWorker)>,
-                move |slot, k| {
-                    let cell = k / reps;
-                    let plan = &plans_ref[cell];
-                    let rep_seed = derive_seed(plan.seed, (k % reps) as u64);
-                    match slot {
-                        Some((c, worker)) if *c == cell => worker.rewind(rep_seed),
-                        _ => {
-                            let worker =
-                                FleetWorker::new(&plan.grid, &plan.assignments, cfg, rep_seed);
-                            *slot = Some((cell, worker));
-                        }
+        let mut folds: Vec<CellFold> = plans.iter().map(|_| CellFold::new()).collect();
+        fold_ordered(
+            plans.len() * reps,
+            REPLICATION_CHUNK,
+            |slot: &mut Option<(usize, FleetWorker)>, k| {
+                let cell = k / reps;
+                let plan = &plans[cell];
+                let rep_seed = derive_seed(plan.seed, (k % reps) as u64);
+                match slot {
+                    Some((c, worker)) if *c == cell => worker.rewind(rep_seed),
+                    _ => {
+                        let worker = FleetWorker::new(&plan.grid, &plan.assignments, cfg, rep_seed);
+                        *slot = Some((cell, worker));
                     }
-                    let (_, worker) = slot.as_mut().expect("worker just installed");
-                    worker.run()
-                },
-            )
-            .collect();
+                }
+                let (_, worker) = slot.as_mut().expect("worker just installed");
+                worker.run()
+            },
+            |k, run| folds[k / reps].absorb(&run),
+        );
 
         plans
             .iter()
-            .enumerate()
-            .map(|(c, plan)| {
-                FleetCellOutcome::aggregate(
+            .zip(folds)
+            .map(|(plan, fold)| {
+                fold.finish(
                     self.mixes[plan.mix].name.clone(),
                     plan.users,
                     self.scenarios[plan.scenario].name.clone(),
-                    &runs[c * reps..(c + 1) * reps],
                 )
             })
             .collect()
@@ -252,5 +259,61 @@ mod tests {
         let fresh = format!("{:?}", FleetWorker::new(&grid, &assignments, &cfg, 2).run());
         assert_eq!(rewound, fresh);
         assert_ne!(first, fresh, "the seed must reach the run");
+    }
+
+    #[test]
+    fn streamed_sweep_matches_the_collect_then_aggregate_oracle() {
+        // 5 replications over 2 cells: not a multiple of any lane count
+        // below, so rounds straddle the cell boundary and the last round
+        // leaves lanes idle
+        let mut cfg = FleetConfig::small_farm(6);
+        cfg.tasks_per_user = 2;
+        cfg.arrival = ArrivalProcess::ThinkTime { mean_s: 600.0 };
+        cfg.replications = 5;
+        cfg.seed = 0x0DE5;
+        let mix = StrategyMix::new(
+            "mixed",
+            vec![
+                crate::StrategyGroup::new(StrategyParams::Single { t_inf: 3_000.0 }, 0.5),
+                crate::StrategyGroup::new(
+                    StrategyParams::Multiple {
+                        b: 2,
+                        t_inf: 3_000.0,
+                    },
+                    0.5,
+                ),
+            ],
+        );
+        let sweep = FleetSweep::new(
+            cfg.clone(),
+            vec![mix.clone()],
+            vec![5, 9],
+            vec![GridScenario::baseline()],
+        );
+        // every replication on a fresh worker, all kept, then aggregated
+        let grid = Arc::new(cfg.grid.clone());
+        let oracle: Vec<FleetCellOutcome> = [5usize, 9]
+            .iter()
+            .enumerate()
+            .map(|(c, &users)| {
+                let cell_seed = derive_seed(cfg.seed, c as u64);
+                let runs: Vec<FleetRun> = (0..cfg.replications)
+                    .map(|r| {
+                        let seed = derive_seed(cell_seed, r as u64);
+                        FleetWorker::new(&grid, &mix.assignments(users), &cfg, seed).run()
+                    })
+                    .collect();
+                FleetCellOutcome::aggregate("mixed", users, "baseline", &runs)
+            })
+            .collect();
+        let oracle = format!("{oracle:?}");
+        for threads in [1, 2, 3, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let streamed = pool.install(|| sweep.run());
+            assert_eq!(format!("{streamed:?}"), oracle, "{threads} threads");
+        }
     }
 }

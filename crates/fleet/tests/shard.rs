@@ -104,15 +104,45 @@ fn sharded_identical_across_thread_counts_and_reuse() {
 
 #[test]
 fn sharded_run_matches_standalone_replication() {
-    // run()'s parallel replications and the standalone run_replication
-    // entry point must see the same seeds and histories
+    // run()'s streamed fold and the standalone run_replication entry
+    // point must see the same seeds and histories: aggregating every
+    // replication at once (the collect-then-aggregate oracle) equals the
+    // cell folded as replications finish, for 5 replications (not a
+    // multiple of any lane count below) on 1, 2, 3 and 7 threads. With
+    // one shard, the same runs also equal the FleetSweep cell.
     let mut cfg = test_config(16);
-    cfg.replications = 2;
-    let sharded = ShardedFleet::new(cfg, mixed_population(), 18, 2, GridScenario::baseline());
-    let cell = sharded.run();
-    let reps: Vec<_> = (0..2).map(|r| sharded.run_replication(r)).collect();
-    let again = FleetCellOutcome::aggregate("mixed", 18, "baseline", &reps);
-    assert_eq!(fingerprint(&cell), fingerprint(&again));
+    cfg.replications = 5;
+    for shards in [1, 2] {
+        let sharded = ShardedFleet::new(
+            cfg.clone(),
+            mixed_population(),
+            18,
+            shards,
+            GridScenario::baseline(),
+        );
+        let reps: Vec<_> = (0..5).map(|r| sharded.run_replication(r)).collect();
+        let oracle = format!(
+            "{:?}",
+            FleetCellOutcome::aggregate("mixed", 18, "baseline", &reps)
+        );
+        for threads in [1, 2, 3, 7] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            let cell = pool.install(|| sharded.run());
+            assert_eq!(
+                format!("{cell:?}"),
+                oracle,
+                "{shards} shards, {threads} threads"
+            );
+            if shards == 1 {
+                let swept = pool
+                    .install(|| run_cell(&cfg, &mixed_population(), 18, &GridScenario::baseline()));
+                assert_eq!(format!("{swept:?}"), oracle, "{threads} threads");
+            }
+        }
+    }
 }
 
 #[test]

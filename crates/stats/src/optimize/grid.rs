@@ -76,10 +76,12 @@ pub type Constraint2d<'a> = &'a dyn Fn(f64, f64) -> bool;
 /// Multi-resolution 2-D grid minimisation of `f(x, y)` over
 /// `[x_lo,x_hi]×[y_lo,y_hi]` restricted to points where `feasible(x,y)`.
 ///
-/// Scans a `resolution × resolution` grid, then repeatedly zooms into a
-/// ±1-cell neighbourhood of the incumbent, halving the cell size, for
-/// `zoom_rounds` rounds. Deterministic and constraint-safe (infeasible
-/// points are skipped, never evaluated).
+/// Scans a `resolution × resolution` grid, then for `zoom_rounds` rounds
+/// re-grids the ±1-cell box around the incumbent at `resolution` steps
+/// per axis. The box is two cells wide, so each round shrinks the cell
+/// size by a factor of `resolution / 2` (24× at a resolution of 48).
+/// Deterministic and constraint-safe (infeasible points are skipped,
+/// never evaluated).
 pub fn grid_min_2d(
     f: impl Fn(f64, f64) -> f64,
     x_range: (f64, f64),
