@@ -1,14 +1,16 @@
 //! Golden outputs: a behaviour oracle across commits.
 //!
-//! Three small cells — one `ScenarioSweep` cell, one think-time
-//! `FleetSweep` cell and one 2-shard `ShardedFleet` cell — are evaluated
-//! and compared, value by value and to the bit, against canonical
-//! sorted-key JSON committed under `replication/expected/`. The files
-//! store the values themselves (f64 in Rust's shortest round-trip form),
-//! so a diff says which statistic moved. They pin what the benchmark
-//! digests do not: standard errors and deviations, the realised
-//! parallel-job average, fairness, slot waste, utilisation and the group
-//! quantiles.
+//! Small cells — one `ScenarioSweep` cell, one think-time `FleetSweep`
+//! cell, one 2-shard `ShardedFleet` cell, one `Multiple { b: 2 }`
+//! `AdaptiveSweep` cell, and the values behind paper Tables 1–4 and the
+//! Figure 5 minimum at the `repro` master seed — are evaluated and
+//! compared, value by value and to the bit, against canonical sorted-key
+//! JSON committed under `replication/expected/`. The files store the
+//! values themselves (f64 in Rust's shortest round-trip form), so a diff
+//! says which statistic moved. They pin what the benchmark digests do
+//! not: standard errors and deviations, the realised parallel-job
+//! average, fairness, slot waste, utilisation, the group quantiles, the
+//! optimisers' chosen timeouts and the `∆cost` profiles.
 //!
 //! A mismatch prints the actual JSON. Updating a golden on purpose needs
 //! a CHANGES.md line saying why.
@@ -141,6 +143,81 @@ fn check_golden(name: &str, actual: JsonValue) {
 
 // --- cells -----------------------------------------------------------------------
 
+/// The `repro` binary's default master seed, so the paper-table cells pin
+/// the published tables.
+const REPRO_SEED: u64 = 0xE6EE;
+
+fn model_for(week: WeekId) -> EmpiricalModel {
+    EmpiricalModel::from_trace(&week.generate(REPRO_SEED)).expect("synthetic traces are valid")
+}
+
+fn timeout_1d(out: &Timeout1d) -> JsonValue {
+    obj([
+        ("e_j", num(out.expectation)),
+        ("sigma_j", num(out.std_dev)),
+        ("t_inf", num(out.timeout)),
+    ])
+}
+
+fn delayed_outcome(out: &DelayedOutcome) -> JsonValue {
+    obj([
+        ("e_j", num(out.expectation)),
+        ("n_parallel", num(out.n_parallel)),
+        ("sigma_j", num(out.std_dev)),
+        ("t0", num(out.t0)),
+        ("t_inf", num(out.t_inf)),
+    ])
+}
+
+fn params(p: StrategyParams) -> JsonValue {
+    match p {
+        StrategyParams::Single { t_inf } => {
+            obj([("family", text("single")), ("t_inf", num(t_inf))])
+        }
+        StrategyParams::Multiple { b, t_inf } => obj([
+            ("b", count(b)),
+            ("family", text("multiple")),
+            ("t_inf", num(t_inf)),
+        ]),
+        StrategyParams::Delayed { t0, t_inf } => obj([
+            ("family", text("delayed")),
+            ("t0", num(t0)),
+            ("t_inf", num(t_inf)),
+        ]),
+        StrategyParams::DelayedMultiple { b, t0, t_inf } => obj([
+            ("b", count(b)),
+            ("family", text("delayed-multiple")),
+            ("t0", num(t0)),
+            ("t_inf", num(t_inf)),
+        ]),
+    }
+}
+
+fn cost_points(points: &[CostPoint]) -> JsonValue {
+    JsonValue::Array(
+        points
+            .iter()
+            .map(|p| {
+                obj([
+                    ("delta_cost", num(p.delta_cost)),
+                    ("e_j", num(p.expectation)),
+                    ("n_parallel", num(p.n_parallel)),
+                    ("params", params(p.params)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+fn sequence_summary(s: &SequenceSummary) -> JsonValue {
+    obj([
+        ("mean_latency", num(s.mean_latency)),
+        ("mean_regret", num(s.mean_regret)),
+        ("submissions_per_task", num(s.submissions_per_task)),
+        ("tasks", count(s.tasks)),
+    ])
+}
+
 fn summary(s: &Summary) -> JsonValue {
     obj([
         ("count", count(s.count())),
@@ -257,4 +334,115 @@ fn sharded_fleet_cell_matches_golden() {
     cfg.seed = 0x601D;
     let cell = ShardedFleet::new(cfg, mixed(), 20, 2, GridScenario::baseline()).run();
     check_golden("sharded_fleet", fleet_cell(&cell));
+}
+
+#[test]
+fn adaptive_sweep_multiple_cell_matches_golden() {
+    // the burst controller under drift, tuned once and online through the
+    // Multiple family's tune path (θ-table and empirical retunes)
+    let sweep = AdaptiveSweep {
+        base: WeekModel::calibrate("adapt", 500.0, 700.0, 0.05, 60.0, 10_000.0).unwrap(),
+        period_s: 86_400.0,
+        amplitudes: vec![0.6],
+        retune_periods: vec![10],
+        family: StrategyParams::Multiple { b: 2, t_inf: 700.0 },
+        adaptive: AdaptiveConfig::default(),
+        n_tasks: 60,
+        seed: 0x601D,
+    };
+    let cell = &sweep.run()[0];
+    check_golden(
+        "adaptive_sweep",
+        obj([
+            ("adaptive", sequence_summary(&cell.adaptive)),
+            ("amplitude", num(cell.amplitude)),
+            ("fixed", sequence_summary(&cell.fixed)),
+            ("retune_every", count(cell.retune_every)),
+            ("retunes", count(cell.retunes)),
+        ]),
+    );
+}
+
+#[test]
+fn table1_matches_golden() {
+    // per week: latency statistics and the single-resubmission optimum
+    let rows = WeekId::ALL
+        .iter()
+        .map(|&week| {
+            let trace = week.generate(REPRO_SEED);
+            let model = EmpiricalModel::from_trace(&trace).expect("synthetic traces are valid");
+            obj([
+                ("body_mean", num(trace.body_mean())),
+                ("body_std", num(trace.body_std())),
+                ("censored_mean", num(trace.censored_mean_lower_bound())),
+                ("single", timeout_1d(&SingleResubmission::optimize(&model))),
+                ("week", text(week.name())),
+            ])
+        })
+        .collect();
+    check_golden("table1", JsonValue::Array(rows));
+}
+
+#[test]
+fn table2_matches_golden() {
+    // multiple submission on 2006-IX: the optimum per collection size
+    let model = model_for(WeekId::W2006Ix);
+    let bs: Vec<u32> = (1..=20).collect();
+    let rows = MultipleSubmission::optimal_series(&model, &bs)
+        .iter()
+        .map(|(b, out)| obj([("b", count(*b)), ("optimum", timeout_1d(out))]))
+        .collect();
+    check_golden("table2", JsonValue::Array(rows));
+}
+
+#[test]
+fn table3_and_figure5_minimum_match_golden() {
+    // delayed resubmission on 2006-IX: the optimum per imposed ratio and
+    // the free 2-D optimum (Table 3's last row, Figure 5's minimum)
+    let model = model_for(WeekId::W2006Ix);
+    let ratios = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0];
+    let rows = ratios
+        .iter()
+        .map(|&r| {
+            obj([
+                (
+                    "optimum",
+                    delayed_outcome(&DelayedResubmission::optimize_with_ratio(&model, r)),
+                ),
+                ("ratio", num(r)),
+            ])
+        })
+        .collect();
+    check_golden(
+        "table3",
+        obj([
+            (
+                "free",
+                delayed_outcome(&DelayedResubmission::optimize(&model)),
+            ),
+            ("ratios", JsonValue::Array(rows)),
+            ("single", timeout_1d(&SingleResubmission::optimize(&model))),
+        ]),
+    );
+}
+
+#[test]
+fn table4_cost_profiles_match_golden() {
+    // ∆cost of the delayed strategy per ratio and of the multiple strategy
+    // per collection size, on 2006-IX
+    let model = model_for(WeekId::W2006Ix);
+    let ratios = [
+        1.05, 1.1, 1.15, 1.2, 1.25, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0,
+    ];
+    let bs = [2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 40, 60, 80, 100];
+    check_golden(
+        "table4",
+        obj([
+            (
+                "delayed",
+                cost_points(&delayed_cost_profile(&model, &ratios)),
+            ),
+            ("multiple", cost_points(&multiple_cost_profile(&model, &bs))),
+        ]),
+    );
 }
