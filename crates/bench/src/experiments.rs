@@ -620,7 +620,8 @@ pub fn table6(seed: u64) -> Vec<Table> {
 /// *expected* latency (`N_//(E_J)`); the true infrastructure load is
 /// `E[N_//(J)]`. This ablation quantifies the gap by executing the delayed
 /// protocol on the discrete-event grid at each ratio's optimum — all ratios
-/// batched through one [`ScenarioSweep`] pass.
+/// batched through one
+/// [`ScenarioSweep`](gridstrat_core::executor::ScenarioSweep) pass.
 pub fn npar_ablation(seed: u64) -> Vec<Table> {
     use gridstrat_core::executor::{MonteCarloConfig, ScenarioSweep};
 
@@ -679,28 +680,28 @@ pub fn npar_ablation(seed: u64) -> Vec<Table> {
 }
 
 /// Extension (not in the paper): a (strategy × week × grid-condition)
-/// sweep through the batched [`ScenarioSweep`] runner — the scenario-
-/// diversity experiment the workload-mining literature runs routinely.
-/// Strategies are tuned once on 2006-IX, then evaluated across weeks under
-/// a nominal grid, a grid with doubled fault rate, and a 25%-slower grid.
+/// sweep through the batched
+/// [`ScenarioSweep`](gridstrat_core::executor::ScenarioSweep) runner — the
+/// scenario-diversity experiment the workload-mining literature runs
+/// routinely. Strategies are tuned once on 2006-IX, then evaluated across
+/// weeks under a nominal grid, a grid with doubled fault rate, and a
+/// 25%-slower grid.
 pub fn scenario_sweep(seed: u64) -> Vec<Table> {
     use gridstrat_core::executor::{GridScenario, MonteCarloConfig, ScenarioSweep};
     use gridstrat_core::strategy::Strategy;
 
     let tuning = model_for(WeekId::W2006Ix, seed);
-    let single = SingleResubmission::optimized(&tuning);
-    let multi = gridstrat_core::strategy::MultipleSubmission::optimized(&tuning, 3);
-    let best = optimize_delayed_delta_cost(&tuning);
-    let StrategyParams::Delayed { t0, t_inf } = best.params else {
-        unreachable!("∆cost optimizer yields delayed params");
+    let single = StrategyParams::Single {
+        t_inf: SingleResubmission::optimize(&tuning).timeout,
     };
+    let multi = StrategyParams::Multiple {
+        b: 3,
+        t_inf: MultipleSubmission::optimize(&tuning, 3).timeout,
+    };
+    let delayed = optimize_delayed_delta_cost(&tuning).params;
 
     let sweep = ScenarioSweep::new(
-        vec![
-            single.params(),
-            multi.params(),
-            StrategyParams::Delayed { t0, t_inf },
-        ],
+        vec![single, multi, delayed],
         vec![WeekId::W2006Ix, WeekId::W2007_51, WeekId::W2008_03],
         vec![
             GridScenario::baseline(),

@@ -8,19 +8,18 @@
 //!
 //! * [`run_fixed_sequence`] / [`run_adaptive_sequence`] — a **task
 //!   sequence harness**: one engine runs many tasks back to back, so the
-//!   simulation clock sweeps across the grid's
-//!   [`Modulation`](gridstrat_sim::Modulation) (diurnal cycles, regime
-//!   shifts) and each task experiences the instantaneous law of its launch
-//!   time. Each task runs in a [`TaskSession`] over the engine's
-//!   client-scope hooks (owner-tagged jobs, namespaced timers), so a stale
-//!   echo of a finished task can never corrupt the next task's protocol
-//!   state.
-//! * [`AdaptiveStrategy`] — wraps any [`Strategy`]: between tasks it feeds
-//!   its *own* per-job observations (exact latencies of started jobs,
-//!   right-censored waits of abandoned ones) into a
-//!   [`StreamingEcdf`](gridstrat_stats::StreamingEcdf) and re-tunes the
-//!   wrapped strategy's free parameters every `retune_every` tasks,
-//!   according to a [`RetunePolicy`].
+//!   simulation clock sweeps across the grid's [`Modulation`] (diurnal
+//!   cycles, regime shifts) and each task experiences the instantaneous
+//!   law of its launch time. Each task runs in a [`TaskSession`] over the
+//!   engine's client-scope hooks (owner-tagged jobs, namespaced timers), so
+//!   a stale echo of a finished task can never corrupt the next task's
+//!   protocol state.
+//! * **Online adaptation** — [`run_adaptive_sequence`] starts from an
+//!   (offline-tuned) [`StrategyParams`] and, between tasks, feeds its
+//!   *own* per-job observations (exact latencies of started jobs,
+//!   right-censored waits of abandoned ones) into a [`StreamingEcdf`] and
+//!   re-tunes the free parameters every `retune_every` tasks, according to
+//!   an [`AdaptiveConfig`] and its [`RetunePolicy`].
 //! * [`RegretFrontier`] — the per-instant omniscient benchmark: at each
 //!   task's launch time the frozen modulated law is known analytically, so
 //!   the optimum `E*_J` an oracle-tuned strategy of the same family would
@@ -47,8 +46,8 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How an [`AdaptiveStrategy`] turns its observation stream into new
-/// parameters at a retune point.
+/// How an adaptive run turns its observation stream into new parameters
+/// at a retune point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetunePolicy {
     /// Purely empirical: re-tune on the window's censoring-aware ECDF
@@ -140,27 +139,6 @@ impl AdaptiveConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// An online-adapting wrapper around any [`Strategy`]: starts from the
-/// wrapped instance's (offline-tuned) parameters and re-tunes them from
-/// its own observations as it runs — see [`run_adaptive_sequence`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveStrategy<S: Strategy + Clone> {
-    /// The initial (typically offline-tuned) strategy instance. Structural
-    /// parameters (collection size `b`, copies per echelon) stay fixed;
-    /// only timeouts are re-tuned, exactly like [`Strategy::tune`].
-    pub initial: S,
-    /// The adaptation loop configuration.
-    pub config: AdaptiveConfig,
-}
-
-impl<S: Strategy + Clone> AdaptiveStrategy<S> {
-    /// Wraps a strategy instance; panics on an invalid configuration.
-    pub fn new(initial: S, config: AdaptiveConfig) -> Self {
-        config.validate().expect("valid adaptive configuration");
-        AdaptiveStrategy { initial, config }
     }
 }
 
@@ -623,11 +601,11 @@ fn run_sequence(
 /// drifting grid.
 pub fn run_fixed_sequence(
     grid: &Arc<GridConfig>,
-    strategy: &dyn Strategy,
+    strategy: &StrategyParams,
     n_tasks: usize,
     seed: u64,
 ) -> SequenceOutcome {
-    run_sequence(grid, strategy.params(), n_tasks, seed, None)
+    run_sequence(grid, *strategy, n_tasks, seed, None)
 }
 
 /// The observation censor threshold of a sequence run: the prior's when
@@ -644,38 +622,42 @@ fn censor_threshold(grid: &GridConfig, prior: Option<&WeekModel>) -> f64 {
         .unwrap_or(gridstrat_workload::CENSOR_THRESHOLD_S)
 }
 
-/// Runs `n_tasks` back-to-back tasks of an [`AdaptiveStrategy`], re-tuning
-/// from its own observations every `retune_every` tasks. `prior` is the
+/// Runs `n_tasks` back-to-back tasks starting from the `initial`
+/// (typically offline-tuned) parameters, re-tuning them from the run's own
+/// observations every `config.retune_every` tasks. Structural parameters
+/// (collection size `b`, copies per echelon) stay fixed; only timeouts are
+/// re-tuned, exactly like [`Strategy::tune`]. `prior` is the
 /// offline-calibrated stationary law the [`RetunePolicy::ScaledPrior`]
 /// policy scales (pass the week the initial instance was tuned on).
 ///
 /// The observation censor threshold is taken from `prior` when available,
-/// else from the grid's oracle model, else the paper's 10 000 s.
-pub fn run_adaptive_sequence<S: Strategy + Clone>(
+/// else from the grid's oracle model, else the paper's 10 000 s. Panics on
+/// an invalid `config`.
+pub fn run_adaptive_sequence(
     grid: &Arc<GridConfig>,
-    adaptive: &AdaptiveStrategy<S>,
+    initial: StrategyParams,
+    config: &AdaptiveConfig,
     prior: Option<&WeekModel>,
     n_tasks: usize,
     seed: u64,
 ) -> SequenceOutcome {
-    adaptive.config.validate().expect("valid adaptive config");
+    config.validate().expect("valid adaptive config");
     let threshold = censor_threshold(grid, prior);
-    let params = adaptive.initial.params();
     // the prior-optimal delayed ratio and the scale-tracking policy table
     // are computed once per run (a real user would compute them offline
     // from last week's calibration)
-    let tuner = prior.map_or(FastTuner::full(), |w| FastTuner::for_family(params, w));
-    let policy = match (adaptive.config.policy, prior) {
+    let tuner = prior.map_or(FastTuner::full(), |w| FastTuner::for_family(initial, w));
+    let policy = match (config.policy, prior) {
         (RetunePolicy::ScaledPrior, Some(w)) => Some(Arc::new(ScalePolicy::build(
             w,
-            params,
+            initial,
             0.99 * threshold,
             tuner,
         ))),
         _ => None,
     };
-    let state = AdaptState::new(&adaptive.config, threshold, tuner, policy);
-    run_sequence(grid, params, n_tasks, seed, Some(state))
+    let state = AdaptState::new(config, threshold, tuner, policy);
+    run_sequence(grid, initial, n_tasks, seed, Some(state))
 }
 
 // --- regret accounting --------------------------------------------------------
@@ -926,7 +908,6 @@ impl AdaptiveSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::SingleResubmission;
 
     fn base() -> WeekModel {
         WeekModel::calibrate("adapt", 500.0, 700.0, 0.05, 60.0, 10_000.0).unwrap()
@@ -982,19 +963,14 @@ mod tests {
     #[test]
     fn adaptive_run_retunes_and_tracks_drift() {
         let (grid, _) = modulated_grid(0.6);
-        let adaptive = AdaptiveStrategy::new(
-            SingleResubmission {
-                t_inf: timeout_of(tuned_once()),
-            },
-            AdaptiveConfig {
-                retune_every: 10,
-                window: 300,
-                decay: 0.97,
-                min_body: 15,
-                policy: RetunePolicy::ScaledPrior,
-            },
-        );
-        let out = run_adaptive_sequence(&grid, &adaptive, Some(&base()), 120, 21);
+        let config = AdaptiveConfig {
+            retune_every: 10,
+            window: 300,
+            decay: 0.97,
+            min_body: 15,
+            policy: RetunePolicy::ScaledPrior,
+        };
+        let out = run_adaptive_sequence(&grid, tuned_once(), &config, Some(&base()), 120, 21);
         assert_eq!(out.tasks.len(), 120);
         assert!(out.retunes > 0, "no retune ever fired");
         // the timeout actually moved over the run
@@ -1026,13 +1002,8 @@ mod tests {
         .tune(&model);
         let n = 1_000;
         let fixed = run_fixed_sequence(&grid, &tuned, n, 1234);
-        let adaptive = run_adaptive_sequence(
-            &grid,
-            &AdaptiveStrategy::new(tuned, AdaptiveConfig::default()),
-            Some(&b),
-            n,
-            1234,
-        );
+        let adaptive =
+            run_adaptive_sequence(&grid, tuned, &AdaptiveConfig::default(), Some(&b), n, 1234);
         let mut frontier = RegretFrontier::new(b, modulation, tuned);
         let r_fixed = frontier.mean_regret(&fixed);
         let r_adaptive = frontier.mean_regret(&adaptive);
@@ -1060,20 +1031,17 @@ mod tests {
         grid.modulation = Some(storm);
         let grid = Arc::new(grid);
         let tuned = tuned_once();
-        let adaptive = AdaptiveStrategy::new(
-            tuned,
-            AdaptiveConfig {
-                retune_every: 10,
-                window: 200,
-                decay: 0.95,
-                min_body: 10,
-                policy: RetunePolicy::EmpiricalBackoff {
-                    max_censored_fraction: 0.35,
-                    growth: 1.4,
-                },
+        let config = AdaptiveConfig {
+            retune_every: 10,
+            window: 200,
+            decay: 0.95,
+            min_body: 10,
+            policy: RetunePolicy::EmpiricalBackoff {
+                max_censored_fraction: 0.35,
+                growth: 1.4,
             },
-        );
-        let out = run_adaptive_sequence(&grid, &adaptive, None, 150, 99);
+        };
+        let out = run_adaptive_sequence(&grid, tuned, &config, None, 150, 99);
         let final_t = timeout_of(out.final_params);
         assert!(
             final_t > 1.3 * timeout_of(tuned),
@@ -1101,20 +1069,17 @@ mod tests {
         let grid = Arc::new(GridConfig::oracle(b.clone())); // no modulation
         let model = ParametricModel::new(b.body(), b.rho, b.threshold_s).unwrap();
         let tuned = StrategyParams::Multiple { b: 3, t_inf: 800.0 }.tune(&model);
-        let adaptive = AdaptiveStrategy::new(
-            tuned,
-            AdaptiveConfig {
-                retune_every: 5,
-                window: 200,
-                decay: 0.95,
-                min_body: 10,
-                policy: RetunePolicy::EmpiricalBackoff {
-                    max_censored_fraction: 0.35,
-                    growth: 1.5,
-                },
+        let config = AdaptiveConfig {
+            retune_every: 5,
+            window: 200,
+            decay: 0.95,
+            min_body: 10,
+            policy: RetunePolicy::EmpiricalBackoff {
+                max_censored_fraction: 0.35,
+                growth: 1.5,
             },
-        );
-        let out = run_adaptive_sequence(&grid, &adaptive, None, 120, 77);
+        };
+        let out = run_adaptive_sequence(&grid, tuned, &config, None, 120, 77);
         let final_t = timeout_of(out.final_params);
         assert!(
             final_t < 1.5 * timeout_of(tuned),
@@ -1279,7 +1244,8 @@ mod tests {
         };
         let adaptive = run_adaptive_sequence(
             &grid,
-            &AdaptiveStrategy::new(tuned, config),
+            tuned,
+            &config,
             Some(&b),
             60,
             derive_seed(cell_seed, 1),

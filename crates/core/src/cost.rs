@@ -33,7 +33,8 @@ pub struct CostPoint {
     pub delta_cost: f64,
 }
 
-/// Parameters identifying a strategy instance.
+/// A strategy instance: the family and its parameters. The one
+/// implementor of [`crate::strategy::Strategy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyParams {
     /// Single resubmission at `t∞`.
@@ -76,12 +77,12 @@ pub fn delta_cost(n_parallel: f64, e_j: f64, e_j_single_opt: f64) -> f64 {
     n_parallel * e_j / e_j_single_opt
 }
 
-/// Evaluates the eq.-6 criterion for any [`Strategy`] instance against the
+/// Evaluates the eq.-6 criterion for a strategy instance against the
 /// single-resubmission baseline — the one place `E_J`, `N_//` and `∆cost`
 /// are combined, shared by every profile/table below.
 pub fn cost_point(
     model: &dyn LatencyModel,
-    strategy: &dyn Strategy,
+    strategy: StrategyParams,
     e_j_single_opt: f64,
 ) -> CostPoint {
     // evaluate the closed form once; N_// is derived from the expectation
@@ -94,7 +95,7 @@ pub fn cost_point(
         f64::INFINITY
     };
     CostPoint {
-        params: strategy.params(),
+        params: strategy,
         n_parallel,
         expectation,
         delta_cost: dc,
@@ -110,11 +111,11 @@ pub fn delayed_cost_profile(model: &dyn LatencyModel, ratios: &[f64]) -> Vec<Cos
         .iter()
         .map(|&r| {
             let out = DelayedResubmission::optimize_with_ratio(model, r);
-            cost_point(
-                model,
-                &DelayedResubmission::new(out.t0, out.t_inf),
-                single.expectation,
-            )
+            let delayed = StrategyParams::Delayed {
+                t0: out.t0,
+                t_inf: out.t_inf,
+            };
+            cost_point(model, delayed, single.expectation)
         })
         .collect()
 }
@@ -125,8 +126,11 @@ pub fn multiple_cost_profile(model: &dyn LatencyModel, bs: &[u32]) -> Vec<CostPo
     let single = SingleResubmission::optimize(model);
     bs.iter()
         .map(|&b| {
-            let tuned = MultipleSubmission::optimized(model, b);
-            cost_point(model, &tuned, single.expectation)
+            let tuned = StrategyParams::Multiple {
+                b,
+                t_inf: MultipleSubmission::optimize(model, b).timeout,
+            };
+            cost_point(model, tuned, single.expectation)
         })
         .collect()
 }
@@ -139,15 +143,7 @@ pub fn delayed_delta_cost_at(
     t_inf: f64,
     e_j_single_opt: f64,
 ) -> CostPoint {
-    if !DelayedResubmission::feasible(t0, t_inf) {
-        return CostPoint {
-            params: StrategyParams::Delayed { t0, t_inf },
-            n_parallel: f64::NAN,
-            expectation: f64::INFINITY,
-            delta_cost: f64::INFINITY,
-        };
-    }
-    cost_point(model, &DelayedResubmission::new(t0, t_inf), e_j_single_opt)
+    cost_point(model, StrategyParams::Delayed { t0, t_inf }, e_j_single_opt)
 }
 
 /// Minimises `∆cost` over integer-second `(t0, t∞)` pairs (Table 5's

@@ -94,9 +94,9 @@ const TRIAL_CHUNK: usize = 8_192;
 
 /// One Monte-Carlo cell: trial `t` runs `strategy` on `grid` seeded
 /// `derive_seed(seed, t)`.
-struct TrialCell<'a> {
+struct TrialCell {
     grid: Arc<GridConfig>,
-    strategy: &'a dyn Strategy,
+    strategy: StrategyParams,
     seed: u64,
 }
 
@@ -118,7 +118,7 @@ impl TrialWorker {
     fn obtain<'s>(
         slot: &'s mut Option<(usize, TrialWorker)>,
         cell: usize,
-        plan: &TrialCell<'_>,
+        plan: &TrialCell,
         seed: u64,
     ) -> &'s mut TrialWorker {
         match slot {
@@ -195,7 +195,7 @@ fn estimate([j, submissions, parallel]: &[Summary; 3]) -> MonteCarloEstimate {
 /// Runs `trials` trials of every cell over the flat (cell × trial) index
 /// space, `chunk` trials per lane and round, and folds each cell's
 /// outcomes in trial order — the one trial loop of both executors.
-fn run_cells(cells: &[TrialCell<'_>], trials: usize, chunk: usize) -> Vec<MonteCarloEstimate> {
+fn run_cells(cells: &[TrialCell], trials: usize, chunk: usize) -> Vec<MonteCarloEstimate> {
     let mut folds = vec![[Summary::new(); 3]; cells.len()];
     fold_ordered(
         cells.len() * trials,
@@ -268,19 +268,13 @@ impl StrategyExecutor {
     /// and memory stays bounded by the pool, not by `trials`. Each lane
     /// reuses one engine + controller across all its trials, so the
     /// per-trial cost is the protocol itself, not allocator traffic.
-    pub fn run_strategy(&self, strategy: &dyn Strategy) -> MonteCarloEstimate {
+    pub fn run(&self, spec: StrategyParams) -> MonteCarloEstimate {
         let cell = TrialCell {
             grid: Arc::clone(&self.grid),
-            strategy,
+            strategy: spec,
             seed: self.config.seed,
         };
         run_cells(&[cell], self.config.trials, TRIAL_CHUNK).remove(0)
-    }
-
-    /// Convenience wrapper over [`StrategyExecutor::run_strategy`] for
-    /// plain-data strategy descriptions.
-    pub fn run(&self, spec: StrategyParams) -> MonteCarloEstimate {
-        self.run_strategy(&spec)
     }
 }
 
@@ -494,7 +488,7 @@ impl ScenarioSweep {
                     outcomes.push((*strategy, week, scenario.name.clone(), e));
                     cells.push(TrialCell {
                         grid: Arc::new(GridConfig::oracle(model)),
-                        strategy,
+                        strategy: *strategy,
                         seed: derive_seed(self.config.seed, cells.len() as u64),
                     });
                 }
@@ -518,116 +512,72 @@ impl ScenarioSweep {
     }
 }
 
-// --- single resubmission -----------------------------------------------------
+// --- burst submission ---------------------------------------------------------
 
-/// Controller realising single resubmission: cancel + resubmit at `t∞`.
-pub(crate) struct SingleCtrl {
-    t_inf: SimDuration,
-    current: Option<JobId>,
-    j: Option<f64>,
-}
-
-impl SingleCtrl {
-    pub(crate) fn new(t_inf: f64) -> Self {
-        SingleCtrl {
-            t_inf: SimDuration::from_secs(t_inf),
-            current: None,
-            j: None,
-        }
-    }
-}
-
-impl Controller for SingleCtrl {
-    fn start(&mut self, sim: &mut GridSimulation) {
-        let id = sim.submit();
-        sim.set_timer(self.t_inf, id.0);
-        self.current = Some(id);
-    }
-
-    fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
-        match ev {
-            Notification::JobStarted { id, at } if self.current == Some(id) => {
-                self.j = Some(at.as_secs());
-            }
-            Notification::Timer { token, .. }
-                if self.j.is_none() && self.current == Some(JobId(token)) =>
-            {
-                sim.cancel(JobId(token));
-                let id = sim.submit();
-                sim.set_timer(self.t_inf, id.0);
-                self.current = Some(id);
-            }
-            _ => {}
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.j.is_some()
-    }
-}
-
-impl StrategyController for SingleCtrl {
-    fn total_latency(&self) -> Option<f64> {
-        self.j
-    }
-
-    fn reset(&mut self) {
-        self.current = None;
-        self.j = None;
-    }
-}
-
-// --- multiple (burst) submission ----------------------------------------------
-
-/// Controller realising `b`-fold burst submission.
-pub(crate) struct MultipleCtrl {
+/// Controller realising `b`-fold burst submission, and single resubmission
+/// as its `b = 1` case: submit a round of `b` jobs and arm the round's
+/// timer; on the first start cancel the rest of the round; when the timer
+/// fires first, cancel the whole round and submit the next.
+pub(crate) struct BurstCtrl {
     b: u32,
     t_inf: SimDuration,
-    round: u64,
-    jobs: Vec<JobId>,
+    /// The current round's number, also its timer token.
+    round: u32,
+    /// The current round's first job: its `b` jobs have consecutive ids,
+    /// so a round needs no allocation.
+    first: JobId,
     j: Option<f64>,
 }
 
-impl MultipleCtrl {
+impl BurstCtrl {
     pub(crate) fn new(b: u32, t_inf: f64) -> Self {
-        assert!(b >= 1);
-        MultipleCtrl {
+        assert!(b >= 1, "need at least one job per collection");
+        assert!(
+            t_inf.is_finite() && t_inf > 0.0,
+            "timeout must be finite and positive, got {t_inf}"
+        );
+        BurstCtrl {
             b,
             t_inf: SimDuration::from_secs(t_inf),
             round: 0,
-            jobs: Vec::with_capacity(b as usize),
+            first: JobId(0),
             j: None,
         }
     }
 
+    /// The current round's jobs.
+    fn jobs(&self) -> impl Iterator<Item = JobId> {
+        (self.first.0..self.first.0 + u64::from(self.b)).map(JobId)
+    }
+
     fn submit_round(&mut self, sim: &mut GridSimulation) {
-        self.jobs.clear();
-        for _ in 0..self.b {
-            self.jobs.push(sim.submit());
+        self.first = sim.submit();
+        for k in 1..u64::from(self.b) {
+            let id = sim.submit();
+            debug_assert_eq!(id.0, self.first.0 + k, "a round's jobs must be consecutive");
         }
-        sim.set_timer(self.t_inf, self.round);
+        sim.set_timer(self.t_inf, u64::from(self.round));
     }
 }
 
-impl Controller for MultipleCtrl {
+impl Controller for BurstCtrl {
     fn start(&mut self, sim: &mut GridSimulation) {
         self.submit_round(sim);
     }
 
     fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
+        if self.j.is_some() {
+            return;
+        }
         match ev {
-            Notification::JobStarted { id, at } if self.j.is_none() && self.jobs.contains(&id) => {
+            Notification::JobStarted { id, at } if self.jobs().any(|o| o == id) => {
                 self.j = Some(at.as_secs());
-                // cancel the rest of the collection (`sim` and `self.jobs`
-                // are disjoint borrows — no scratch copy needed)
-                for &o in &self.jobs {
-                    if o != id {
-                        sim.cancel(o);
-                    }
+                for o in self.jobs().filter(|&o| o != id) {
+                    sim.cancel(o);
                 }
             }
-            Notification::Timer { token, .. } if self.j.is_none() && token == self.round => {
-                for &o in &self.jobs {
+            Notification::Timer { token, .. } if token == u64::from(self.round) => {
+                for o in self.jobs() {
                     sim.cancel(o);
                 }
                 self.round += 1;
@@ -642,14 +592,13 @@ impl Controller for MultipleCtrl {
     }
 }
 
-impl StrategyController for MultipleCtrl {
+impl StrategyController for BurstCtrl {
     fn total_latency(&self) -> Option<f64> {
         self.j
     }
 
     fn reset(&mut self) {
         self.round = 0;
-        self.jobs.clear(); // keeps the b-slot allocation
         self.j = None;
     }
 }
@@ -960,6 +909,17 @@ mod tests {
     }
 
     #[test]
+    fn single_resubmission_is_the_one_copy_burst() {
+        // both families run on the burst controller, so b = 1 replays the
+        // single-resubmission history to the bit
+        let ex = StrategyExecutor::new(week(), cfg(300));
+        let single = ex.run(StrategyParams::Single { t_inf: 700.0 });
+        let burst = ex.run(StrategyParams::Multiple { b: 1, t_inf: 700.0 });
+        assert_eq!(format!("{single:?}"), format!("{burst:?}"));
+        assert!(single.mean_submissions > 1.0, "no resubmission happened");
+    }
+
+    #[test]
     fn deterministic_across_repeats() {
         let w = week();
         let a =
@@ -967,21 +927,6 @@ mod tests {
         let b = StrategyExecutor::new(w, cfg(300)).run(StrategyParams::Single { t_inf: 700.0 });
         assert_eq!(a.mean_j.to_bits(), b.mean_j.to_bits());
         assert_eq!(a.mean_submissions.to_bits(), b.mean_submissions.to_bits());
-    }
-
-    #[test]
-    fn trait_object_and_enum_paths_agree_bitwise() {
-        // run(spec) and run_strategy(&concrete) must execute identical
-        // protocols with identical RNG streams
-        let w = week();
-        let ex = StrategyExecutor::new(w, cfg(400));
-        let via_enum = ex.run(StrategyParams::Multiple { b: 2, t_inf: 750.0 });
-        let via_type = ex.run_strategy(&MultipleSubmission::new(2, 750.0));
-        assert_eq!(via_enum.mean_j.to_bits(), via_type.mean_j.to_bits());
-        assert_eq!(
-            via_enum.mean_parallel.to_bits(),
-            via_type.mean_parallel.to_bits()
-        );
     }
 
     #[test]
@@ -1183,7 +1128,7 @@ mod tests {
 
     /// The pre-streaming path: every trial of every cell runs on a fresh
     /// worker, all outcomes are collected, then each cell is folded.
-    fn collect_then_aggregate(cells: &[TrialCell<'_>], trials: usize) -> Vec<MonteCarloEstimate> {
+    fn collect_then_aggregate(cells: &[TrialCell], trials: usize) -> Vec<MonteCarloEstimate> {
         let outcomes: Vec<Vec<Option<[f64; 3]>>> = cells
             .iter()
             .enumerate()
@@ -1242,17 +1187,17 @@ mod tests {
         let cells = [
             TrialCell {
                 grid: Arc::clone(&full),
-                strategy: &single,
+                strategy: single,
                 seed: 11,
             },
             TrialCell {
                 grid: Arc::clone(&cut),
-                strategy: &delayed,
+                strategy: delayed,
                 seed: 12,
             },
             TrialCell {
                 grid: full,
-                strategy: &delayed,
+                strategy: delayed,
                 seed: 13,
             },
         ];
@@ -1289,11 +1234,11 @@ mod tests {
             MonteCarloConfig { trials, seed: 21 },
         );
         let grid = Arc::new(GridConfig::oracle(WeekId::W2007_51.model()));
-        let cells: Vec<TrialCell<'_>> = sweep
+        let cells: Vec<TrialCell> = sweep
             .strategies
             .iter()
             .enumerate()
-            .map(|(c, strategy)| TrialCell {
+            .map(|(c, &strategy)| TrialCell {
                 grid: Arc::clone(&grid),
                 strategy,
                 seed: derive_seed(21, c as u64),

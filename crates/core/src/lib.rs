@@ -8,15 +8,18 @@
 //! *defective* CDF `F̃(t) = (1-ρ)·F_R(t)` where `ρ` is the outlier (fault)
 //! ratio. On top of a [`latency::LatencyModel`] the crate provides:
 //!
-//! * [`strategy::Strategy`] — the trait unifying every strategy's analytic
-//!   side (`expected_j`/`std_j`/`n_parallel` over a latency model) with its
+//! * [`StrategyParams`] — a strategy instance: the family and its
+//!   parameters, as every sweep, fleet and adaptive path carries it. It
+//!   implements [`strategy::Strategy`], which unifies the analytic side
+//!   (`expected_j`/`std_j`/`n_parallel` over a latency model) with the
 //!   executable side (the simulator controller realising the protocol);
-//! * [`strategy::SingleResubmission`] — cancel at `t∞` and resubmit
-//!   (paper §4, eqs. 1–2);
-//! * [`strategy::MultipleSubmission`] — submit `b` copies, cancel the rest
-//!   on first start, resubmit the collection at `t∞` (§5, eqs. 3–4);
-//! * [`strategy::DelayedResubmission`] — submit a copy at `t0` without
-//!   cancelling before `t∞` (§6, eq. 5 and the `N_//` analysis of §6.1);
+//! * the closed forms of each family, as associated functions of a
+//!   field-less type: [`strategy::SingleResubmission`] — cancel at `t∞`
+//!   and resubmit (paper §4, eqs. 1–2); [`strategy::MultipleSubmission`] —
+//!   submit `b` copies, cancel the rest on first start, resubmit the
+//!   collection at `t∞` (§5, eqs. 3–4); [`strategy::DelayedResubmission`]
+//!   — submit a copy at `t0` without cancelling before `t∞` (§6, eq. 5
+//!   and the `N_//` analysis of §6.1);
 //! * [`cost`] — the `∆cost` criterion of §7 (eq. 6) comparing user benefit
 //!   against infrastructure load;
 //! * [`stability`] — the ±5 s sensitivity analysis of Table 5;
@@ -32,9 +35,9 @@
 //!   index order as pool rounds finish, so memory is bounded by the pool,
 //!   not by the trial or replication count;
 //! * [`adaptive`] — online-adapting strategies on *nonstationary* live
-//!   grids: the back-to-back task-sequence harness, the
-//!   [`adaptive::AdaptiveStrategy`] wrapper re-tuning timeouts from its
-//!   own observations, regret accounting against the instantaneous
+//!   grids: the back-to-back task-sequence harness, with
+//!   [`adaptive::run_adaptive_sequence`] re-tuning timeouts from the
+//!   run's own observations, regret accounting against the instantaneous
 //!   oracle optimum, and the (amplitude × retune-period)
 //!   [`adaptive::AdaptiveSweep`];
 //! * [`report`] — fixed-width table / CSV rendering for the reproduction
@@ -65,9 +68,8 @@ pub mod strategy;
 pub mod transfer;
 
 pub use adaptive::{
-    run_adaptive_sequence, run_fixed_sequence, AdaptiveCellOutcome, AdaptiveConfig,
-    AdaptiveStrategy, AdaptiveSweep, RegretFrontier, RetunePolicy, SequenceOutcome,
-    SequenceSummary, TaskRecord,
+    run_adaptive_sequence, run_fixed_sequence, AdaptiveCellOutcome, AdaptiveConfig, AdaptiveSweep,
+    RegretFrontier, RetunePolicy, SequenceOutcome, SequenceSummary, TaskRecord,
 };
 pub use cost::{cost_point, delta_cost, CostPoint, StrategyParams};
 pub use executor::{

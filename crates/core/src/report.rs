@@ -113,11 +113,6 @@ pub fn secs0(x: f64) -> String {
     }
 }
 
-/// Formats a ratio as a signed percentage with no decimals.
-pub fn pct0(x: f64) -> String {
-    format!("{:+.0}%", x * 100.0)
-}
-
 /// Formats a ratio as a signed percentage with one decimal.
 pub fn pct1(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)
@@ -191,7 +186,6 @@ mod tests {
     fn formatters() {
         assert_eq!(secs0(470.6), "471s");
         assert_eq!(secs0(f64::INFINITY), "∞");
-        assert_eq!(pct0(-0.33), "-33%");
         assert_eq!(pct1(0.071), "+7.1%");
         assert_eq!(fixed(1.234, 2), "1.23");
     }

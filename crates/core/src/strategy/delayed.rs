@@ -42,9 +42,6 @@
 //! reports; the true `E[N_//(J)]` is available through the Monte-Carlo
 //! executor for comparison.
 
-use super::Strategy;
-use crate::cost::StrategyParams;
-use crate::executor::{DelayedCtrl, StrategyController};
 use crate::latency::LatencyModel;
 use gridstrat_stats::optimize::{grid_min_2d, refine_grid_1d, GridSpec};
 
@@ -63,19 +60,11 @@ pub struct DelayedOutcome {
     pub n_parallel: f64,
 }
 
-/// The delayed-resubmission strategy: an instance carries its delay `t0`,
-/// timeout `t∞` and copies-per-echelon count (`1` in the paper; `> 1` is
-/// the generalised extension); the associated functions expose the eq.-5
-/// closed forms directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayedResubmission {
-    /// Copies submitted per echelon (`1` = the paper's strategy).
-    pub copies: u32,
-    /// Resubmission delay `t0`, seconds.
-    pub t0: f64,
-    /// Cancellation timeout `t∞`, seconds.
-    pub t_inf: f64,
-}
+/// The closed forms of delayed resubmission (eq. 5 and §6.1), and of its
+/// `b`-copy generalisation. An instance is
+/// [`crate::cost::StrategyParams::Delayed`] (the paper's strategy) or
+/// [`crate::cost::StrategyParams::DelayedMultiple`].
+pub struct DelayedResubmission;
 
 impl DelayedResubmission {
     /// Family name used in reports and sweeps.
@@ -83,32 +72,6 @@ impl DelayedResubmission {
 
     /// Family name of the generalised (`b > 1` copies) variant.
     pub const FAMILY_MULTI: &'static str = "delayed-multiple";
-
-    /// Creates the paper's strategy instance; the pair must be feasible.
-    pub fn new(t0: f64, t_inf: f64) -> Self {
-        Self::with_copies(1, t0, t_inf)
-    }
-
-    /// Creates a generalised instance submitting `b ≥ 1` copies per
-    /// echelon; the pair must be feasible.
-    pub fn with_copies(b: u32, t0: f64, t_inf: f64) -> Self {
-        assert!(b >= 1, "need at least one copy per echelon");
-        assert!(
-            Self::feasible(t0, t_inf),
-            "delayed strategy requires a feasible (t0, t∞) pair, got ({t0}, {t_inf})"
-        );
-        DelayedResubmission {
-            copies: b,
-            t0,
-            t_inf,
-        }
-    }
-
-    /// The `E_J`-optimal instance for `model` (free 2-D optimization).
-    pub fn optimized<M: LatencyModel + ?Sized>(model: &M) -> Self {
-        let out = Self::optimize(model);
-        Self::new(out.t0, out.t_inf)
-    }
 
     /// Feasibility of a parameter pair: `0 < t0 ≤ t∞ ≤ 2·t0`.
     pub fn feasible(t0: f64, t_inf: f64) -> bool {
@@ -276,56 +239,6 @@ impl DelayedResubmission {
             1e-4,
         );
         Self::evaluate(model, r.x, ratio * r.x)
-    }
-}
-
-impl Strategy for DelayedResubmission {
-    fn name(&self) -> &'static str {
-        if self.copies == 1 {
-            Self::FAMILY
-        } else {
-            Self::FAMILY_MULTI
-        }
-    }
-
-    fn params(&self) -> StrategyParams {
-        if self.copies == 1 {
-            StrategyParams::Delayed {
-                t0: self.t0,
-                t_inf: self.t_inf,
-            }
-        } else {
-            StrategyParams::DelayedMultiple {
-                b: self.copies,
-                t0: self.t0,
-                t_inf: self.t_inf,
-            }
-        }
-    }
-
-    fn expected_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::expectation_with_copies(model, self.copies, self.t0, self.t_inf)
-    }
-
-    fn std_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::moments_with_copies(model, self.copies, self.t0, self.t_inf).1
-    }
-
-    fn n_parallel_for(&self, e_j: f64) -> f64 {
-        if e_j.is_finite() && Self::feasible(self.t0, self.t_inf) {
-            Self::n_parallel_at_with_copies(self.copies, e_j, self.t0, self.t_inf)
-        } else {
-            f64::NAN
-        }
-    }
-
-    fn build_controller(&self) -> Box<dyn StrategyController> {
-        Box::new(DelayedCtrl::new(self.copies, self.t0, self.t_inf))
-    }
-
-    fn tune(&self, model: &dyn LatencyModel) -> Self {
-        let out = Self::optimize_with_copies(model, self.copies);
-        Self::with_copies(self.copies, out.t0, out.t_inf)
     }
 }
 
@@ -581,12 +494,26 @@ mod tests {
         // tune on a b-copy instance must minimise the b-copy E_J, not the
         // single-copy objective: the b=1-optimal pair applied to the b-copy
         // law cannot beat the b-copy optimum
+        use crate::cost::StrategyParams;
         use crate::strategy::Strategy;
         let m = heavy_model();
         let b = 3u32;
-        let tuned = DelayedResubmission::with_copies(b, 300.0, 450.0).tune(&m);
-        assert_eq!(tuned.copies, b);
-        let own = DelayedResubmission::expectation_with_copies(&m, b, tuned.t0, tuned.t_inf);
+        let tuned = StrategyParams::DelayedMultiple {
+            b,
+            t0: 300.0,
+            t_inf: 450.0,
+        }
+        .tune(&m);
+        let StrategyParams::DelayedMultiple {
+            b: copies,
+            t0,
+            t_inf,
+        } = tuned
+        else {
+            panic!("tune changed the variant: {tuned:?}");
+        };
+        assert_eq!(copies, b);
+        let own = DelayedResubmission::expectation_with_copies(&m, b, t0, t_inf);
         let single_opt = DelayedResubmission::optimize(&m);
         let borrowed =
             DelayedResubmission::expectation_with_copies(&m, b, single_opt.t0, single_opt.t_inf);

@@ -1,23 +1,25 @@
 //! The three client-side submission strategies of the paper, unified
 //! behind the [`Strategy`] trait.
 //!
-//! | Strategy | Paper | Parameters | Model |
+//! | Family | Paper | Parameters | Model |
 //! |---|---|---|---|
 //! | [`SingleResubmission`] | §4, eqs. 1–2 | timeout `t∞` | cancel + resubmit at `t∞` |
 //! | [`MultipleSubmission`] | §5, eqs. 3–4 | copies `b`, timeout `t∞` | burst of `b`, cancel rest on first start |
 //! | [`DelayedResubmission`] | §6, eq. 5 | delay `t0`, timeout `t∞` | copy at `t0`, cancel original at `t∞` |
 //!
-//! Each strategy type is **both** a parameterised instance (fields hold its
-//! tuned parameters; [`Strategy`] computes `E_J`/`σ_J`/`N_//` and builds
-//! the simulator controller realising the protocol) **and** a namespace of
-//! associated closed-form functions (`expectation`, `std_dev`, `optimize`,
-//! …) over any [`crate::latency::LatencyModel`]. The closed forms are exact
-//! (single/multiple) or multi-resolution (delayed) — see each module.
+//! A strategy *instance* is a [`StrategyParams`] value: the plain-data
+//! description every sweep, fleet, adaptive and benchmark path carries. It
+//! is the one implementor of [`Strategy`], which computes `E_J`/`σ_J`/`N_//`
+//! by matching on the family and calling its closed forms, and builds the
+//! simulator controller realising the protocol. The three family types are
+//! field-less namespaces of those closed forms (`expectation`, `std_dev`,
+//! `optimize`, …) over any [`crate::latency::LatencyModel`]. The closed
+//! forms are exact (single/multiple) or multi-resolution (delayed) — see
+//! each module.
 //!
-//! [`crate::cost::StrategyParams`] — the plain-data description of a
-//! strategy instance — also implements [`Strategy`] by delegating to the
-//! matching concrete type, so heterogeneous collections of strategies
-//! (scenario sweeps, report tables) need no manual dispatch.
+//! Single resubmission is the `b = 1` case of multiple submission. Its
+//! closed forms stay separate (eqs. 1–2 need no powered integrals), but it
+//! runs on the same burst controller.
 
 pub mod delayed;
 pub mod distribution;
@@ -30,7 +32,7 @@ pub use multiple::MultipleSubmission;
 pub use single::SingleResubmission;
 
 use crate::cost::StrategyParams;
-use crate::executor::StrategyController;
+use crate::executor::{BurstCtrl, DelayedCtrl, StrategyController};
 use crate::latency::LatencyModel;
 
 /// Outcome of a 1-D timeout optimization.
@@ -57,16 +59,13 @@ pub struct Timeout1d {
 ///   ([`Strategy::build_controller`]), used by the Monte-Carlo executors to
 ///   validate the closed forms.
 ///
-/// The trait is object-safe: sweeps and executors work with
-/// `&dyn Strategy`. [`Strategy::tune`] (re-optimising the instance's free
-/// parameters on a model) is `Self: Sized` and therefore reachable on
-/// concrete types and on [`StrategyParams`].
+/// [`StrategyParams`] is the one implementor. The analytic methods are
+/// lenient: an instance that cannot complete (a timeout below the latency
+/// floor, an infeasible delayed pair) yields `+∞`/`NaN` rather than a
+/// panic, which parameter scans rely on. Executing one panics.
 pub trait Strategy: Send + Sync {
     /// Short human-readable strategy family name.
     fn name(&self) -> &'static str;
-
-    /// The plain-data description of this instance.
-    fn params(&self) -> StrategyParams;
 
     /// Expected total latency `E_J` over `model`, seconds
     /// (`+∞` when the instance cannot complete on this model).
@@ -90,8 +89,8 @@ pub trait Strategy: Send + Sync {
 
     /// Builds the simulator controller that realises this strategy against
     /// a [`gridstrat_sim::GridSimulation`]. Panics for instances whose
-    /// protocol cannot be executed (e.g. an infeasible delayed pair) —
-    /// validate with [`Strategy::expected_j`] first when in doubt.
+    /// protocol cannot be executed: a timeout that is not finite and
+    /// positive, no copies (`b = 0`), or an infeasible delayed pair.
     fn build_controller(&self) -> Box<dyn StrategyController>;
 
     /// Re-optimises the instance's *free* parameters on `model`, keeping
@@ -113,84 +112,85 @@ impl Strategy for StrategyParams {
         }
     }
 
-    fn params(&self) -> StrategyParams {
-        *self
-    }
-
     fn expected_j(&self, model: &dyn LatencyModel) -> f64 {
-        dispatch(
-            self,
-            |s| s.expected_j(model),
-            |s| s.expected_j(model),
-            |s| s.expected_j(model),
-        )
+        match *self {
+            StrategyParams::Single { t_inf } => SingleResubmission::expectation(model, t_inf),
+            StrategyParams::Multiple { b, t_inf } => {
+                MultipleSubmission::expectation(model, b, t_inf)
+            }
+            StrategyParams::Delayed { t0, t_inf } => {
+                DelayedResubmission::expectation(model, t0, t_inf)
+            }
+            StrategyParams::DelayedMultiple { b, t0, t_inf } => {
+                DelayedResubmission::expectation_with_copies(model, b, t0, t_inf)
+            }
+        }
     }
 
     fn std_j(&self, model: &dyn LatencyModel) -> f64 {
-        dispatch(
-            self,
-            |s| s.std_j(model),
-            |s| s.std_j(model),
-            |s| s.std_j(model),
-        )
+        match *self {
+            StrategyParams::Single { t_inf } => SingleResubmission::std_dev(model, t_inf),
+            StrategyParams::Multiple { b, t_inf } => MultipleSubmission::std_dev(model, b, t_inf),
+            StrategyParams::Delayed { t0, t_inf } => {
+                DelayedResubmission::moments(model, t0, t_inf).1
+            }
+            StrategyParams::DelayedMultiple { b, t0, t_inf } => {
+                DelayedResubmission::moments_with_copies(model, b, t0, t_inf).1
+            }
+        }
     }
 
     fn n_parallel_for(&self, e_j: f64) -> f64 {
-        dispatch(
-            self,
-            |s| s.n_parallel_for(e_j),
-            |s| s.n_parallel_for(e_j),
-            |s| s.n_parallel_for(e_j),
-        )
+        let (b, t0, t_inf) = match *self {
+            // one job in flight at all times, or the whole collection of b
+            StrategyParams::Single { .. } => return 1.0,
+            StrategyParams::Multiple { b, .. } => return b as f64,
+            StrategyParams::Delayed { t0, t_inf } => (1, t0, t_inf),
+            StrategyParams::DelayedMultiple { b, t0, t_inf } => (b, t0, t_inf),
+        };
+        if e_j.is_finite() && DelayedResubmission::feasible(t0, t_inf) {
+            DelayedResubmission::n_parallel_at_with_copies(b, e_j, t0, t_inf)
+        } else {
+            f64::NAN
+        }
     }
 
     fn build_controller(&self) -> Box<dyn StrategyController> {
-        dispatch(
-            self,
-            |s| s.build_controller(),
-            |s| s.build_controller(),
-            |s| s.build_controller(),
-        )
+        match *self {
+            StrategyParams::Single { t_inf } => Box::new(BurstCtrl::new(1, t_inf)),
+            StrategyParams::Multiple { b, t_inf } => Box::new(BurstCtrl::new(b, t_inf)),
+            StrategyParams::Delayed { t0, t_inf } => Box::new(DelayedCtrl::new(1, t0, t_inf)),
+            StrategyParams::DelayedMultiple { b, t0, t_inf } => {
+                Box::new(DelayedCtrl::new(b, t0, t_inf))
+            }
+        }
     }
 
     fn tune(&self, model: &dyn LatencyModel) -> Self {
-        dispatch(
-            self,
-            |s| s.tune(model).params(),
-            |s| s.tune(model).params(),
-            |s| s.tune(model).params(),
-        )
-    }
-}
-
-/// Single point where the parameter enum turns into concrete strategy
-/// instances — every [`Strategy`] method of [`StrategyParams`] funnels
-/// through here, so no other module needs to match on the enum.
-///
-/// Instances are constructed *leniently* (no feasibility assertions), so
-/// the analytic trait methods mirror the closed forms exactly: an
-/// infeasible delayed pair yields `+∞`/`NaN` instead of a panic — the
-/// behaviour parameter scans rely on. Executing such a pair
-/// ([`Strategy::build_controller`]) still panics, in the controller.
-fn dispatch<T>(
-    params: &StrategyParams,
-    single: impl FnOnce(SingleResubmission) -> T,
-    multiple: impl FnOnce(MultipleSubmission) -> T,
-    delayed: impl FnOnce(DelayedResubmission) -> T,
-) -> T {
-    match *params {
-        StrategyParams::Single { t_inf } => single(SingleResubmission { t_inf }),
-        StrategyParams::Multiple { b, t_inf } => multiple(MultipleSubmission { b, t_inf }),
-        StrategyParams::Delayed { t0, t_inf } => delayed(DelayedResubmission {
-            copies: 1,
-            t0,
-            t_inf,
-        }),
-        StrategyParams::DelayedMultiple { b, t0, t_inf } => delayed(DelayedResubmission {
-            copies: b,
-            t0,
-            t_inf,
-        }),
+        match *self {
+            StrategyParams::Single { .. } => StrategyParams::Single {
+                t_inf: SingleResubmission::optimize(model).timeout,
+            },
+            StrategyParams::Multiple { b, .. } => StrategyParams::Multiple {
+                b,
+                t_inf: MultipleSubmission::optimize(model, b).timeout,
+            },
+            StrategyParams::Delayed { .. } => {
+                let out = DelayedResubmission::optimize(model);
+                StrategyParams::Delayed {
+                    t0: out.t0,
+                    t_inf: out.t_inf,
+                }
+            }
+            StrategyParams::DelayedMultiple { b, .. } => {
+                let out = DelayedResubmission::optimize_with_copies(model, b);
+                StrategyParams::DelayedMultiple {
+                    b,
+                    t0: out.t0,
+                    t_inf: out.t_inf,
+                }
+            }
+        }
     }
 }
 
@@ -206,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn params_delegate_to_concrete_types() {
+    fn params_evaluate_their_family_closed_forms() {
         let m = heavy_model();
         let cases: Vec<(StrategyParams, f64, f64)> = vec![
             (
@@ -231,7 +231,6 @@ mod tests {
         for (spec, want_e, want_n) in cases {
             assert_eq!(spec.expected_j(&m).to_bits(), want_e.to_bits(), "{spec:?}");
             assert!((spec.n_parallel(&m) - want_n).abs() < 1e-12, "{spec:?}");
-            assert_eq!(spec.params(), spec);
         }
     }
 
@@ -239,9 +238,12 @@ mod tests {
     fn trait_objects_are_usable() {
         let m = heavy_model();
         let strategies: Vec<Box<dyn Strategy>> = vec![
-            Box::new(SingleResubmission::new(700.0)),
-            Box::new(MultipleSubmission::new(2, 800.0)),
-            Box::new(DelayedResubmission::new(400.0, 560.0)),
+            Box::new(StrategyParams::Single { t_inf: 700.0 }),
+            Box::new(StrategyParams::Multiple { b: 2, t_inf: 800.0 }),
+            Box::new(StrategyParams::Delayed {
+                t0: 400.0,
+                t_inf: 560.0,
+            }),
         ];
         for s in &strategies {
             let e = s.expected_j(&m);
@@ -253,6 +255,59 @@ mod tests {
         assert_eq!(strategies[0].name(), "single");
         assert_eq!(strategies[1].name(), "multiple");
         assert_eq!(strategies[2].name(), "delayed");
+    }
+
+    // Executing an instance checks what the analytic side tolerates: each
+    // test first shows the closed forms stay lenient, then that the
+    // controller refuses the instance.
+
+    #[test]
+    #[should_panic(expected = "timeout must be finite and positive")]
+    fn single_with_a_zero_timeout_panics_when_executed() {
+        let spec = StrategyParams::Single { t_inf: 0.0 };
+        assert_eq!(spec.expected_j(&heavy_model()), f64::INFINITY);
+        spec.build_controller();
+    }
+
+    #[test]
+    #[should_panic(expected = "timeout must be finite and positive")]
+    fn multiple_with_an_infinite_timeout_panics_when_executed() {
+        StrategyParams::Multiple {
+            b: 2,
+            t_inf: f64::INFINITY,
+        }
+        .build_controller();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one job")]
+    fn multiple_without_copies_panics_when_executed() {
+        let spec = StrategyParams::Multiple { b: 0, t_inf: 800.0 };
+        assert_eq!(spec.n_parallel_for(500.0), 0.0);
+        spec.build_controller();
+    }
+
+    #[test]
+    #[should_panic(expected = "feasible")]
+    fn infeasible_delayed_pair_panics_when_executed() {
+        let spec = StrategyParams::Delayed {
+            t0: 300.0,
+            t_inf: 700.0,
+        };
+        assert_eq!(spec.expected_j(&heavy_model()), f64::INFINITY);
+        assert!(spec.n_parallel_for(500.0).is_nan());
+        spec.build_controller();
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one copy")]
+    fn delayed_multiple_without_copies_panics_when_executed() {
+        StrategyParams::DelayedMultiple {
+            b: 0,
+            t0: 400.0,
+            t_inf: 560.0,
+        }
+        .build_controller();
     }
 
     #[test]

@@ -12,40 +12,17 @@
 //! σ²_J(t∞) = -A_b²/G² + 2B_b/G + 2 t∞ (1-G) A_b/G²
 //! ```
 
-use super::{Strategy, Timeout1d};
-use crate::cost::StrategyParams;
-use crate::executor::{MultipleCtrl, StrategyController};
+use super::Timeout1d;
 use crate::latency::LatencyModel;
 
-/// The multiple-submission strategy: an instance carries its collection
-/// size `b` and timeout `t∞`; the associated functions expose the closed
-/// forms of eqs. 3–4 directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultipleSubmission {
-    /// Collection size `b ≥ 1`.
-    pub b: u32,
-    /// Collection cancellation/resubmission timeout `t∞`, seconds.
-    pub t_inf: f64,
-}
+/// The closed forms of multiple submission (eqs. 3–4). An instance is
+/// [`crate::cost::StrategyParams::Multiple`].
+pub struct MultipleSubmission;
 
 impl MultipleSubmission {
     /// Family name used in reports and sweeps.
     pub const FAMILY: &'static str = "multiple";
 
-    /// Creates an instance with `b ≥ 1` copies and timeout `t∞ > 0`.
-    pub fn new(b: u32, t_inf: f64) -> Self {
-        assert!(b >= 1, "need at least one job per collection");
-        assert!(
-            t_inf.is_finite() && t_inf > 0.0,
-            "timeout must be positive, got {t_inf}"
-        );
-        MultipleSubmission { b, t_inf }
-    }
-
-    /// The `E_J`-optimal instance for `model` at collection size `b`.
-    pub fn optimized<M: LatencyModel + ?Sized>(model: &M, b: u32) -> Self {
-        MultipleSubmission::new(b, Self::optimize(model, b).timeout)
-    }
     /// Defective CDF of the collection minimum, `G(t) = 1-(1-F̃(t))ᵇ`.
     pub fn collection_cdf<M: LatencyModel + ?Sized>(model: &M, b: u32, t: f64) -> f64 {
         assert!(b >= 1, "need at least one job per collection");
@@ -106,39 +83,6 @@ impl MultipleSubmission {
         bs: &[u32],
     ) -> Vec<(u32, Timeout1d)> {
         bs.iter().map(|&b| (b, Self::optimize(model, b))).collect()
-    }
-}
-
-impl Strategy for MultipleSubmission {
-    fn name(&self) -> &'static str {
-        Self::FAMILY
-    }
-
-    fn params(&self) -> StrategyParams {
-        StrategyParams::Multiple {
-            b: self.b,
-            t_inf: self.t_inf,
-        }
-    }
-
-    fn expected_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::expectation(model, self.b, self.t_inf)
-    }
-
-    fn std_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::std_dev(model, self.b, self.t_inf)
-    }
-
-    fn n_parallel_for(&self, _e_j: f64) -> f64 {
-        self.b as f64 // the collection keeps exactly b copies in flight
-    }
-
-    fn build_controller(&self) -> Box<dyn StrategyController> {
-        Box::new(MultipleCtrl::new(self.b, self.t_inf))
-    }
-
-    fn tune(&self, model: &dyn LatencyModel) -> Self {
-        Self::optimized(model, self.b)
     }
 }
 

@@ -13,36 +13,17 @@
 //! `J = N·t∞ + R_f` with `N` geometric (failure prob. `q`) independent of
 //! `R_f ~ R | R < t∞`; it matches the paper's expression exactly.
 
-use super::{Strategy, Timeout1d};
-use crate::cost::StrategyParams;
-use crate::executor::{SingleCtrl, StrategyController};
+use super::Timeout1d;
 use crate::latency::LatencyModel;
 
-/// The single-resubmission strategy: an instance carries its timeout `t∞`;
-/// the associated functions expose the closed forms of eqs. 1–2 directly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SingleResubmission {
-    /// Cancellation/resubmission timeout `t∞`, seconds.
-    pub t_inf: f64,
-}
+/// The closed forms of single resubmission (eqs. 1–2). An instance is
+/// [`crate::cost::StrategyParams::Single`].
+pub struct SingleResubmission;
 
 impl SingleResubmission {
     /// Family name used in reports and sweeps.
     pub const FAMILY: &'static str = "single";
 
-    /// Creates an instance with timeout `t∞ > 0`.
-    pub fn new(t_inf: f64) -> Self {
-        assert!(
-            t_inf.is_finite() && t_inf > 0.0,
-            "timeout must be positive, got {t_inf}"
-        );
-        SingleResubmission { t_inf }
-    }
-
-    /// The `E_J`-optimal instance for `model` (exact for empirical models).
-    pub fn optimized<M: LatencyModel + ?Sized>(model: &M) -> Self {
-        SingleResubmission::new(Self::optimize(model).timeout)
-    }
     /// `E_J(t∞)` — eq. 1. Returns `+∞` when `F̃(t∞) = 0` (a timeout below
     /// the minimum latency can never succeed).
     pub fn expectation<M: LatencyModel + ?Sized>(model: &M, t_inf: f64) -> f64 {
@@ -98,36 +79,6 @@ impl SingleResubmission {
         );
         best.std_dev = Self::std_dev(model, best.timeout);
         best
-    }
-}
-
-impl Strategy for SingleResubmission {
-    fn name(&self) -> &'static str {
-        Self::FAMILY
-    }
-
-    fn params(&self) -> StrategyParams {
-        StrategyParams::Single { t_inf: self.t_inf }
-    }
-
-    fn expected_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::expectation(model, self.t_inf)
-    }
-
-    fn std_j(&self, model: &dyn LatencyModel) -> f64 {
-        Self::std_dev(model, self.t_inf)
-    }
-
-    fn n_parallel_for(&self, _e_j: f64) -> f64 {
-        1.0 // exactly one job in flight at all times
-    }
-
-    fn build_controller(&self) -> Box<dyn StrategyController> {
-        Box::new(SingleCtrl::new(self.t_inf))
-    }
-
-    fn tune(&self, model: &dyn LatencyModel) -> Self {
-        Self::optimized(model)
     }
 }
 

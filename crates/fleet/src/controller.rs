@@ -13,7 +13,7 @@
 //!   active when the timer was armed, so two users' (or two tasks')
 //!   identical raw tokens can never collide;
 //! * the scope encodes `(user, task-epoch)`, and each agent's
-//!   [`TaskSession`](gridstrat_core::TaskSession) drops whatever is not
+//!   [`TaskSession`] drops whatever is not
 //!   about its current task, so a stale timer or a redundant copy
 //!   surviving from an already-completed task is silently dropped instead
 //!   of corrupting the next task's protocol state.

@@ -285,8 +285,8 @@ pub struct FleetCellOutcome {
 
 impl FleetCellOutcome {
     /// Aggregates the replications of one cell (reps must be non-empty and
-    /// share the same population shape): the [`CellFold`] the sweeps
-    /// stream replications into, fed from a slice.
+    /// share the same population shape): the same fold the sweeps stream
+    /// replications into, fed from a slice.
     pub fn aggregate(
         mix: impl Into<String>,
         users: usize,

@@ -3,7 +3,7 @@
 //! exchange.
 //!
 //! A single [`FleetController`](crate::FleetController) engine tops out at
-//! [`MAX_USERS`](crate::mix::MAX_USERS) users (the 16-bit user field of
+//! [`MAX_USERS`] users (the 16-bit user field of
 //! the scope encoding) and, more practically, at whatever one
 //! discrete-event loop can chew through. [`ShardedFleet`] scales past
 //! both by splitting the community and the farm:

@@ -1,13 +1,14 @@
 //! Integration tests of the sharded fleet: the `shards = 1` bit-identity
 //! contract against the plain `FleetController` path, thread-count and
-//! worker-reuse bit-identity at fixed shard counts, the cross-shard
-//! coupling's observable effect, and community sizes beyond one engine's
-//! comfort.
+//! worker-reuse bit-identity at fixed shard counts, the fidelity of
+//! uncoupled shards to one engine, the cross-shard coupling's observable
+//! effect, and community sizes beyond one engine's comfort.
 
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::executor::GridScenario;
 use gridstrat_fleet::{
-    run_cell, FleetCellOutcome, FleetConfig, ShardedFleet, StrategyGroup, StrategyMix,
+    run_cell, ArrivalProcess, FleetCellOutcome, FleetConfig, ShardedFleet, StrategyGroup,
+    StrategyMix,
 };
 
 fn test_config(slots: usize) -> FleetConfig {
@@ -142,6 +143,61 @@ fn sharded_run_matches_standalone_replication() {
                 assert_eq!(format!("{swept:?}"), oracle, "{threads} threads");
             }
         }
+    }
+}
+
+#[test]
+fn uncoupled_shards_track_one_engine_on_mean_latency_and_fairness() {
+    // Ground truth is one engine (S = 1). Splitting the community and the
+    // farm into S uncoupled shards must leave the community's mean task
+    // latency and Jain fairness where one engine puts them. Here one
+    // engine reads 284.8 s and fairness 0.478; S = 2 reads -0.1% and
+    // 0.477, S = 8 +0.3% and 0.482. Tolerances: 2% relative on the mean,
+    // 0.02 absolute on fairness.
+    const MEAN_TOL: f64 = 0.02;
+    const FAIRNESS_TOL: f64 = 0.02;
+    let t_inf = 5_000.0;
+    let mix = StrategyMix::new(
+        "single+burst",
+        vec![
+            StrategyGroup::new(StrategyParams::Single { t_inf }, 0.85),
+            StrategyGroup::new(StrategyParams::Multiple { b: 2, t_inf }, 0.15),
+        ],
+    );
+    let mut cfg = FleetConfig::small_farm(800);
+    cfg.tasks_per_user = 8;
+    cfg.arrival = ArrivalProcess::ThinkTime { mean_s: 3_600.0 };
+    cfg.replications = 4;
+    let run = |shards: usize| {
+        let mut sharded = ShardedFleet::new(
+            cfg.clone(),
+            mix.clone(),
+            5_000,
+            shards,
+            GridScenario::baseline(),
+        );
+        sharded.coupling = 0.0;
+        sharded.run()
+    };
+    let one = run(1);
+    assert_eq!(one.tasks_completed, one.tasks_total);
+    for shards in [2, 8] {
+        let split = run(shards);
+        assert_eq!(split.tasks_completed, split.tasks_total, "S = {shards}");
+        let mean_gap = split.mean_latency / one.mean_latency - 1.0;
+        assert!(
+            mean_gap.abs() <= MEAN_TOL,
+            "S = {shards}: mean latency {} s against {} s on one engine ({:+.2}%)",
+            split.mean_latency,
+            one.mean_latency,
+            100.0 * mean_gap
+        );
+        assert!(
+            (split.fairness - one.fairness).abs() <= FAIRNESS_TOL,
+            "S = {shards}: fairness {} against {} on one engine",
+            split.fairness,
+            one.fairness
+        );
     }
 }
 

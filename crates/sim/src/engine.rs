@@ -259,19 +259,15 @@ impl GridSimulation {
         self.default_exec
     }
 
-    /// Submits a client job with the default execution time (zero unless
-    /// overridden via [`GridSimulation::set_default_exec`] — i.e. a probe).
+    /// Submits a client job that holds its slot for the default execution
+    /// time once started (zero unless overridden via
+    /// [`GridSimulation::set_default_exec`] — i.e. a probe).
     pub fn submit(&mut self) -> JobId {
-        self.submit_with_exec(self.default_exec)
-    }
-
-    /// Submits a client job that will hold its slot for `exec` once started.
-    pub fn submit_with_exec(&mut self, exec: SimDuration) -> JobId {
         let id = JobId(self.jobs.len() as u64);
         let mut rec = JobRecord::new(id, JobOrigin::Client, self.now);
         rec.owner = self.scope;
         self.jobs.push(rec);
-        self.exec_times.push(exec);
+        self.exec_times.push(self.default_exec);
         self.stats.client_submitted += 1;
         self.route_submission(id);
         id

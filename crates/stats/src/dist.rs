@@ -2,8 +2,8 @@
 //!
 //! The families the HPDC'09 methodology needs: log-normal (the paper's
 //! reference body model), Weibull, exponential and Pareto, plus the
-//! combinators [`Shifted`] (hard latency floor), [`Mixture`] (two-component
-//! blend) and [`OutlierMixture`] (body + fault tail). Everything exposes
+//! combinators [`Shifted`] (hard latency floor) and [`OutlierMixture`]
+//! (body + fault tail). Everything exposes
 //! the same [`Distribution`] interface: exact CDF/PDF/quantile closed forms
 //! where they exist, inverse-CDF sampling driven by any [`rand::Rng`], and
 //! optional first/second moments (`None` when the law has no finite one,
@@ -576,64 +576,6 @@ impl<D: Distribution> Distribution for Shifted<D> {
 
 // --- mixtures ----------------------------------------------------------------
 
-/// Two-component mixture: `A` with probability `w`, `B` otherwise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mixture<A, B> {
-    a: A,
-    b: B,
-    w: f64,
-}
-
-impl<A: Distribution, B: Distribution> Mixture<A, B> {
-    /// Creates from two components and the first component's weight
-    /// `w ∈ [0, 1]`.
-    pub fn new(a: A, b: B, w: f64) -> Result<Self, String> {
-        if !(w.is_finite() && (0.0..=1.0).contains(&w)) {
-            return Err(format!("mixture weight must be in [0, 1], got {w}"));
-        }
-        Ok(Mixture { a, b, w })
-    }
-}
-
-impl<A: Distribution, B: Distribution> Distribution for Mixture<A, B> {
-    fn cdf(&self, t: f64) -> f64 {
-        self.w * self.a.cdf(t) + (1.0 - self.w) * self.b.cdf(t)
-    }
-
-    fn pdf(&self, t: f64) -> f64 {
-        self.w * self.a.pdf(t) + (1.0 - self.w) * self.b.pdf(t)
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        let hint = if p < 0.999 {
-            self.a.quantile(p.max(0.5)).max(self.b.quantile(p.max(0.5)))
-        } else {
-            1.0
-        };
-        quantile_by_bisection(self, p, hint)
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if rng.gen::<f64>() < self.w {
-            self.a.sample(rng)
-        } else {
-            self.b.sample(rng)
-        }
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.w * self.a.mean()? + (1.0 - self.w) * self.b.mean()?)
-    }
-
-    fn variance(&self) -> Option<f64> {
-        // law of total variance
-        let (ma, mb) = (self.a.mean()?, self.b.mean()?);
-        let (va, vb) = (self.a.variance()?, self.b.variance()?);
-        let m = self.w * ma + (1.0 - self.w) * mb;
-        Some(self.w * (va + (ma - m) * (ma - m)) + (1.0 - self.w) * (vb + (mb - m) * (mb - m)))
-    }
-}
-
 /// Body-plus-outlier-tail mixture: with probability `ρ` the draw comes from
 /// the (far) tail distribution, otherwise from the body — the generative
 /// counterpart of the paper's defective CDF `F̃ = (1-ρ)·F_R`.
@@ -811,23 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn mixture_cdf_and_moments() {
-        let a = Exponential::with_mean(100.0).unwrap();
-        let b = Exponential::with_mean(1000.0).unwrap();
-        let m = Mixture::new(a, b, 0.7).unwrap();
-        // mean = 0.7·100 + 0.3·1000
-        assert!((m.mean().unwrap() - 370.0).abs() < 1e-9);
-        for t in [10.0, 100.0, 2000.0] {
-            let want = 0.7 * a.cdf(t) + 0.3 * b.cdf(t);
-            assert!((m.cdf(t) - want).abs() < 1e-12);
-        }
-        // quantile inverts the mixture cdf
-        for p in [0.1, 0.5, 0.95] {
-            assert!((m.cdf(m.quantile(p)) - p).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn outlier_mixture_matches_defective_form() {
         let body = LogNormal::from_mean_std(400.0, 500.0).unwrap();
         let tail = Pareto::new(10_000.0, 1.5).unwrap();
@@ -869,12 +794,6 @@ mod tests {
         assert!(Exponential::new(0.0).is_err());
         assert!(Weibull::new(-1.0, 10.0).is_err());
         assert!(Pareto::new(10.0, f64::NAN).is_err());
-        assert!(Mixture::new(
-            Exponential::new(1.0).unwrap(),
-            Exponential::new(2.0).unwrap(),
-            1.5
-        )
-        .is_err());
         assert!(OutlierMixture::new(
             Exponential::new(1.0).unwrap(),
             Exponential::new(2.0).unwrap(),

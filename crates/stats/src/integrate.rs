@@ -5,36 +5,6 @@
 //! recursion-depth safeguard is accurate and cheap for the smooth, bounded
 //! integrands that appear in the strategy equations.
 
-/// Composite trapezoid rule with `n ≥ 1` panels.
-pub fn trapezoid(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
-    assert!(n >= 1, "need at least one panel");
-    if a == b {
-        return 0.0;
-    }
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + i as f64 * h);
-    }
-    sum * h
-}
-
-/// Composite Simpson rule with `n` panels (`n` rounded up to even).
-pub fn simpson(f: impl Fn(f64) -> f64, a: f64, b: f64, n: usize) -> f64 {
-    assert!(n >= 2, "need at least two panels");
-    if a == b {
-        return 0.0;
-    }
-    let n = if n.is_multiple_of(2) { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = f(a) + f(b);
-    for i in 1..n {
-        let c = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += c * f(a + i as f64 * h);
-    }
-    sum * h / 3.0
-}
-
 /// Adaptive Simpson quadrature to absolute tolerance `tol`.
 ///
 /// Uses the classic Richardson-style error estimate `|S2 - S1|/15 < tol`
@@ -177,26 +147,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn trapezoid_linear_exact() {
-        // ∫₀¹ (2x+1) dx = 2
-        let got = trapezoid(|x| 2.0 * x + 1.0, 0.0, 1.0, 1);
-        assert!((got - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_cubic_exact() {
-        // Simpson is exact for cubics: ∫₀² x³ dx = 4
-        let got = simpson(|x| x * x * x, 0.0, 2.0, 2);
-        assert!((got - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_rounds_odd_panels() {
-        let got = simpson(|x| x * x, 0.0, 3.0, 3);
-        assert!((got - 9.0).abs() < 1e-10);
-    }
-
-    #[test]
     fn adaptive_simpson_exp() {
         // ∫₀¹ e^x dx = e - 1
         let got = adaptive_simpson(|x| x.exp(), 0.0, 1.0, 1e-10);
@@ -226,8 +176,6 @@ mod tests {
     #[test]
     fn degenerate_interval_is_zero() {
         assert_eq!(adaptive_simpson(|x| x, 3.0, 3.0, 1e-9), 0.0);
-        assert_eq!(trapezoid(|x| x, 2.0, 2.0, 4), 0.0);
-        assert_eq!(simpson(|x| x, 2.0, 2.0, 4), 0.0);
         assert_eq!(
             adaptive_simpson_with_moment(|x| x, 3.0, 3.0, 1e-9),
             (0.0, 0.0)

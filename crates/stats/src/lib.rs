@@ -45,9 +45,7 @@ pub mod streaming;
 pub mod summary;
 
 pub use bootstrap::{bootstrap_ci, ConfidenceInterval};
-pub use dist::{
-    Distribution, Exponential, LogNormal, Mixture, OutlierMixture, Pareto, Shifted, Weibull,
-};
+pub use dist::{Distribution, Exponential, LogNormal, OutlierMixture, Pareto, Shifted, Weibull};
 pub use ecdf::Ecdf;
 pub use fit::{fit_exponential, fit_lognormal, fit_pareto, fit_weibull, ks_statistic, FitReport};
 pub use hazard::{HazardProfile, HazardTrend};

@@ -1,4 +1,4 @@
-//! Streaming summary statistics (Welford) and simple histograms.
+//! Streaming summary statistics (Welford).
 //!
 //! Used by the simulator's metric collectors and the Monte-Carlo executors,
 //! where keeping every sample would be wasteful.
@@ -7,7 +7,7 @@
 ///
 /// Numerically stable for long streams; merging two summaries is exact
 /// (parallel-safe reduction for rayon fold/reduce patterns).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -120,77 +120,10 @@ impl Summary {
     }
 }
 
-/// Fixed-width histogram on `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins ≥ 1` equal-width buckets on `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "invalid histogram range");
-        assert!(bins >= 1, "need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            // guard against floating rounding at the upper edge
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count of observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of observations at/above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations seen (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Midpoint of bucket `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Cumulative fraction of in-range mass up to and including bucket `i`,
-    /// normalised by the grand total (defective if there is overflow — by
-    /// design, mirroring `F̃`).
-    pub fn cumulative_fraction(&self, i: usize) -> f64 {
-        let c: u64 = self.counts[..=i].iter().sum::<u64>() + self.underflow;
-        c as f64 / self.total() as f64
+impl Default for Summary {
+    /// The empty summary, as [`Summary::new`].
+    fn default() -> Self {
+        Summary::new()
     }
 }
 
@@ -255,25 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 50.0] {
-            h.push(x);
+    fn default_is_the_empty_summary() {
+        // the empty extrema must be ±∞, or a default-built summary of
+        // positive data reports a minimum of 0
+        let mut s = Summary::default();
+        assert_eq!(s.min(), f64::INFINITY);
+        assert_eq!(s.max(), f64::NEG_INFINITY);
+        for x in [3.0, 5.0] {
+            s.push(x);
         }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_cumulative_is_defective_with_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 2);
-        for x in [1.0, 6.0, 100.0] {
-            h.push(x);
-        }
-        // last in-range bucket cumulates to 2/3 < 1 because of the outlier
-        assert!((h.cumulative_fraction(1) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((s.min(), s.max()), (3.0, 5.0));
     }
 }

@@ -10,7 +10,7 @@
 //!    it (the offline "tuned-once" optimum);
 //! 2. run thousands of back-to-back tasks on a live grid whose queue wait
 //!    and fault ratio swing ±80% over a diurnal cycle;
-//! 3. run the same strategy wrapped in [`AdaptiveStrategy`]: every 5
+//! 3. run the same strategy through [`run_adaptive_sequence`]: every 5
 //!    tasks it re-estimates the load factor from its own completions and
 //!    re-tunes;
 //! 4. score both against the instantaneous-oracle [`RegretFrontier`] —
@@ -22,8 +22,7 @@
 //! Run with `cargo run --release --example adaptive`.
 
 use gridstrat::core::adaptive::{
-    run_adaptive_sequence, run_fixed_sequence, AdaptiveConfig, AdaptiveStrategy, AdaptiveSweep,
-    RegretFrontier,
+    run_adaptive_sequence, run_fixed_sequence, AdaptiveConfig, AdaptiveSweep, RegretFrontier,
 };
 use gridstrat::prelude::*;
 use gridstrat::sim::Modulation;
@@ -64,7 +63,8 @@ fn main() {
     let fixed = run_fixed_sequence(&grid, &tuned_once, N_TASKS, SEED);
     let adaptive = run_adaptive_sequence(
         &grid,
-        &AdaptiveStrategy::new(tuned_once, AdaptiveConfig::default()),
+        tuned_once,
+        &AdaptiveConfig::default(),
         Some(&base),
         N_TASKS,
         SEED,

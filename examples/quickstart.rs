@@ -74,12 +74,21 @@ fn main() {
 
     // 7. Trust, but verify: execute all three tuned strategies against the
     //    discrete-event grid in one batched sweep and compare realised
-    //    latency against the closed forms.
+    //    latency against the closed forms. A strategy instance is a
+    //    `StrategyParams` value: a family and the parameters tuned above.
     let sweep = ScenarioSweep::over_strategies(
         vec![
-            SingleResubmission::new(single.timeout).params(),
-            MultipleSubmission::optimized(&model, 2).params(),
-            DelayedResubmission::new(delayed.t0, delayed.t_inf).params(),
+            StrategyParams::Single {
+                t_inf: single.timeout,
+            },
+            StrategyParams::Multiple {
+                b: 2,
+                t_inf: MultipleSubmission::optimize(&model, 2).timeout,
+            },
+            StrategyParams::Delayed {
+                t0: delayed.t0,
+                t_inf: delayed.t_inf,
+            },
         ],
         WeekId::W2006Ix,
         MonteCarloConfig {

@@ -51,8 +51,7 @@ pub use gridstrat_workload as workload;
 pub mod prelude {
     pub use gridstrat_core::adaptive::{
         run_adaptive_sequence, run_fixed_sequence, AdaptiveCellOutcome, AdaptiveConfig,
-        AdaptiveStrategy, AdaptiveSweep, RegretFrontier, RetunePolicy, SequenceOutcome,
-        SequenceSummary, TaskRecord,
+        AdaptiveSweep, RegretFrontier, RetunePolicy, SequenceOutcome, SequenceSummary, TaskRecord,
     };
     pub use gridstrat_core::application::{batch_outcome, BatchOutcome, JSampler};
     pub use gridstrat_core::cost::{
