@@ -151,9 +151,8 @@ impl TrialWorker {
         // cancelling one job never flips another job's pending state)
         for idx in 0..sim.jobs().len() {
             let rec = &sim.jobs()[idx];
-            if !rec.state.is_terminal() && rec.started_at.is_none() {
-                let id = rec.id;
-                sim.cancel(id);
+            if !rec.state().is_terminal() && rec.started_at().is_none() {
+                sim.cancel(JobId(idx as u64));
             }
         }
 
@@ -163,11 +162,11 @@ impl TrialWorker {
         // cancelled, or the task completes at J
         let mut integral = 0.0;
         for rec in sim.jobs() {
-            let s = rec.submitted_at.as_secs();
+            let s = rec.submitted_at().as_secs();
             if s >= j {
                 continue;
             }
-            let end = match (rec.started_at, rec.terminated_at) {
+            let end = match (rec.started_at(), rec.terminated_at()) {
                 (Some(st), _) => st.as_secs(),
                 (None, Some(term)) => term.as_secs(),
                 (None, None) => j,

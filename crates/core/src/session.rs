@@ -68,9 +68,9 @@ impl TaskSession {
         f(self.ctrl.as_mut(), sim);
         sim.set_default_exec(SimDuration::ZERO);
         sim.set_scope(0);
-        for rec in &sim.jobs()[floor..] {
-            if rec.owner == self.scope {
-                self.jobs.push(rec.id);
+        for (id, rec) in sim.jobs().iter().enumerate().skip(floor) {
+            if rec.owner() == self.scope {
+                self.jobs.push(JobId(id as u64));
             }
         }
     }
@@ -82,11 +82,11 @@ impl TaskSession {
         let now = sim.now().as_secs();
         for &id in &self.jobs {
             let rec = sim.job(id);
-            match rec.started_at {
-                Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
+            match rec.started_at() {
+                Some(st) => est.observe_started(st.since(rec.submitted_at()).as_secs()),
                 None => {
-                    let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                    let waited = (end - rec.submitted_at.as_secs()).max(0.0);
+                    let end = rec.terminated_at().map_or(now, |t| t.as_secs());
+                    let waited = (end - rec.submitted_at().as_secs()).max(0.0);
                     if is_timeout_censored(waited, t_inf) {
                         est.observe_censored(waited);
                     }
@@ -100,7 +100,7 @@ impl TaskSession {
     pub fn cancel_pending(&self, sim: &mut GridSimulation) {
         for &id in &self.jobs {
             let rec = sim.job(id);
-            if !rec.state.is_terminal() && rec.started_at.is_none() {
+            if !rec.state().is_terminal() && rec.started_at().is_none() {
                 sim.cancel(id);
             }
         }
@@ -125,7 +125,7 @@ impl Controller for TaskSession {
             Notification::JobStarted { id, .. }
             | Notification::JobFinished { id, .. }
             | Notification::JobFailed { id, .. }
-                if sim.job(id).owner == self.scope =>
+                if sim.job(id).owner() == self.scope =>
             {
                 ev
             }
@@ -169,16 +169,17 @@ mod tests {
             let full_scan: Vec<JobId> = sim
                 .jobs()
                 .iter()
-                .filter(|rec| rec.owner == scope)
-                .map(|rec| rec.id)
+                .enumerate()
+                .filter(|(_, rec)| rec.owner() == scope)
+                .map(|(id, _)| JobId(id as u64))
                 .collect();
             assert!(full_scan.len() >= 3);
             assert_eq!(session.jobs(), full_scan.as_slice());
             assert!(session.jobs().iter().all(|&id| {
                 let rec = sim.job(id);
-                rec.state.is_terminal() || rec.started_at.is_some()
+                rec.state().is_terminal() || rec.started_at().is_some()
             }));
         }
-        assert!(sim.jobs().iter().any(|rec| rec.owner == 0));
+        assert!(sim.jobs().iter().any(|rec| rec.owner() == 0));
     }
 }

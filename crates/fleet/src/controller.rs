@@ -24,6 +24,7 @@ use crate::mix::MAX_USERS;
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::strategy::Strategy;
 use gridstrat_core::TaskSession;
+use gridstrat_sim::job::JobOrigin;
 use gridstrat_sim::{Controller, GridSimulation, JobId, Notification, SimDuration};
 
 /// Scope bit layout: `(user + 1) << 16 | epoch` — 16 bits of task epoch,
@@ -70,8 +71,11 @@ pub struct FleetController {
     /// for groups the apportionment left without members).
     groups: Vec<Option<GroupStream>>,
     /// Expected client submissions over the whole run — the engine
-    /// capacity pre-reservation hint.
+    /// job-table pre-reservation hint.
     job_hint: usize,
+    /// Bound on the community's pending events — the engine event-heap
+    /// pre-reservation hint.
+    event_hint: usize,
 }
 
 /// Sets bit `id` in a growable bitset.
@@ -129,12 +133,13 @@ impl FleetController {
         assert!(group_window > 0, "group window must be positive");
         let n_groups = assignments.iter().map(|a| a.group + 1).max().unwrap_or(0);
         let mut groups: Vec<Option<GroupStream>> = vec![None; n_groups];
-        let mut job_hint = 0usize;
+        let (mut job_hint, mut event_hint) = (0usize, 0usize);
         for a in assignments {
             groups[a.group]
                 .get_or_insert_with(|| GroupStream::new(a.group, a.strategy, 0, group_window))
                 .members += 1;
             job_hint += tasks_per_user * burst_width(a.strategy);
+            event_hint += burst_width(a.strategy) + 1;
         }
         FleetController {
             agents: assignments
@@ -149,6 +154,7 @@ impl FleetController {
             winner_bits: Vec::new(),
             groups,
             job_hint,
+            event_hint,
         }
     }
 
@@ -259,19 +265,19 @@ impl FleetController {
         let mut useful_busy_s = 0.0;
         let mut client_busy_s = 0.0;
         let mut total_busy_s = 0.0;
-        for rec in sim.jobs() {
-            let Some(start) = rec.started_at else {
+        for (id, rec) in sim.jobs().iter().enumerate() {
+            let Some(start) = rec.started_at() else {
                 continue;
             };
             let end = rec
-                .terminated_at
+                .terminated_at()
                 .map_or(makespan_s, |t| t.as_secs())
                 .min(makespan_s);
             let busy = (end - start.as_secs()).max(0.0);
             total_busy_s += busy;
-            if matches!(rec.origin, gridstrat_sim::job::JobOrigin::Client) {
+            if rec.origin() == JobOrigin::Client {
                 client_busy_s += busy;
-                if is_winner(&self.winner_bits, rec.id) {
+                if is_winner(&self.winner_bits, JobId(id as u64)) {
                     useful_busy_s += busy;
                 }
             }
@@ -312,10 +318,12 @@ impl FleetController {
 
 impl Controller for FleetController {
     fn start(&mut self, sim: &mut GridSimulation) {
-        // pre-reserve the engine's job table and event heap for the whole
-        // community's expected protocol traffic (~6 pipeline events per
-        // job), so a 100k-user run never grows them mid-flight
-        sim.reserve(self.job_hint, self.job_hint.saturating_mul(6));
+        // pre-reserve the engine's job table for the whole community's
+        // expected submissions, and its event heap for what can be pending
+        // at once: one event per in-flight job of a user's burst plus its
+        // timer (arrival or timeout). The heap holds pending events only,
+        // so its peak depth tracks users, not the run's total traffic
+        sim.reserve(self.job_hint, self.event_hint);
         for user in 0..self.agents.len() {
             let d = self.arrival.initial_delay(&mut self.agents[user].rng);
             self.arm_arrival(sim, user, d);
@@ -335,7 +343,7 @@ impl Controller for FleetController {
             Notification::JobStarted { id, .. }
             | Notification::JobFinished { id, .. }
             | Notification::JobFailed { id, .. } => {
-                if let Some((user, _)) = decode_user_scope(sim.job(id).owner) {
+                if let Some((user, _)) = decode_user_scope(sim.job(id).owner()) {
                     self.deliver(sim, user, ev);
                 }
             }
@@ -359,7 +367,6 @@ mod tests {
     use super::*;
     use crate::mix::FleetConfig;
     use gridstrat_core::adaptive::{AdaptiveConfig, RetunePolicy};
-    use gridstrat_sim::job::JobOrigin;
     use gridstrat_stats::StreamingEcdf;
     use std::cell::Cell;
 
@@ -385,14 +392,14 @@ mod tests {
         }
         let now = sim.now().as_secs();
         for rec in sim.jobs() {
-            if rec.owner != session.scope() || rec.origin != JobOrigin::Client {
+            if rec.owner() != session.scope() || rec.origin() != JobOrigin::Client {
                 continue;
             }
-            match rec.started_at {
-                Some(st) => est.observe_started(st.since(rec.submitted_at).as_secs()),
+            match rec.started_at() {
+                Some(st) => est.observe_started(st.since(rec.submitted_at()).as_secs()),
                 None => {
-                    let end = rec.terminated_at.map_or(now, |t| t.as_secs());
-                    let waited = (end - rec.submitted_at.as_secs()).max(0.0);
+                    let end = rec.terminated_at().map_or(now, |t| t.as_secs());
+                    let waited = (end - rec.submitted_at().as_secs()).max(0.0);
                     if gridstrat_core::adaptive::is_timeout_censored(waited, t_inf) {
                         est.observe_censored(waited);
                     }

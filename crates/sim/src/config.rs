@@ -1,7 +1,7 @@
 //! Simulation configuration: latency regime, topology, faults, load.
 
 use crate::modulation::Modulation;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use gridstrat_workload::WeekModel;
 use std::sync::Arc;
 
@@ -126,7 +126,8 @@ impl Default for BackgroundLoadConfig {
 pub struct GridConfig {
     /// Latency regime.
     pub latency: LatencyMode,
-    /// Sites (pipeline regime; ignored by the oracle).
+    /// Sites (pipeline regime; ignored by the oracle). Fewer than
+    /// `u16::MAX`: the job table stores a site index in 16 bits.
     pub sites: Vec<SiteConfig>,
     /// WMS behaviour (pipeline regime).
     pub wms: WmsConfig,
@@ -135,7 +136,8 @@ pub struct GridConfig {
     /// Background traffic; `None` disables it.
     pub background: Option<BackgroundLoadConfig>,
     /// Hard horizon: events beyond this instant are not processed. Guards
-    /// against infinite background-traffic runs.
+    /// against infinite background-traffic runs. Must end before
+    /// [`SimTime::MAX`], the job table's "not yet" instant.
     pub horizon: SimDuration,
     /// Time-varying load modulation (see [`crate::modulation`]); `None`
     /// keeps the grid stationary. Behind an `Arc` so sharing a config
@@ -248,6 +250,16 @@ impl GridConfig {
                 return Err("recorded latencies must be finite and non-negative".into());
             }
         }
+        if SimTime::ZERO.after(self.horizon) == SimTime::MAX {
+            return Err("horizon must end before the latest representable instant".into());
+        }
+        if self.sites.len() >= u16::MAX as usize {
+            return Err(format!(
+                "at most {} sites are supported, got {}",
+                u16::MAX - 1,
+                self.sites.len()
+            ));
+        }
         if matches!(self.latency, LatencyMode::Pipeline) {
             if self.sites.is_empty() {
                 return Err("pipeline mode requires at least one site".into());
@@ -340,5 +352,26 @@ mod tests {
         let mut c = GridConfig::pipeline_default();
         c.wms.matchmaking_mean_s = 0.0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_a_horizon_reaching_the_not_yet_instant() {
+        let mut c = GridConfig::pipeline_default();
+        c.horizon = SimDuration(u64::MAX);
+        assert!(c.validate().unwrap_err().contains("horizon"));
+        c.horizon = SimDuration::from_secs(f64::INFINITY);
+        assert!(c.validate().is_err());
+        c.horizon = SimDuration(u64::MAX - 1);
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn rejects_more_sites_than_a_record_can_index() {
+        let mut c = GridConfig::pipeline_default();
+        let site = c.sites[0].clone();
+        c.sites = vec![site; u16::MAX as usize];
+        assert!(c.validate().unwrap_err().contains("sites"));
+        c.sites.pop();
+        assert!(c.validate().is_ok());
     }
 }

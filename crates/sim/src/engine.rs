@@ -67,7 +67,12 @@ pub trait Controller {
 #[derive(Debug, Default)]
 struct SiteState {
     running: usize,
+    /// Batch queue in arrival order. Cancelled jobs stay in it until a
+    /// slot assignment skips them.
     queue: VecDeque<JobId>,
+    /// Jobs in `queue` still waiting to start (cancelled residue excluded):
+    /// the queue length the least-loaded ranking sees.
+    queued: usize,
 }
 
 /// Aggregate run counters (client and background populations separately).
@@ -123,8 +128,8 @@ pub struct GridSimulation {
     cfg: Arc<GridConfig>,
     now: SimTime,
     queue: EventQueue,
+    /// The job table: one record per submitted job, indexed by [`JobId`].
     jobs: Vec<JobRecord>,
-    exec_times: Vec<SimDuration>,
     sites: Vec<SiteState>,
     rng: StdRng,
     notifications: VecDeque<Notification>,
@@ -151,7 +156,6 @@ impl GridSimulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             jobs: Vec::new(),
-            exec_times: Vec::new(),
             sites,
             rng: StdRng::seed_from_u64(seed),
             notifications: VecDeque::new(),
@@ -167,19 +171,18 @@ impl GridSimulation {
 
     /// Rewinds the engine in place to the state a freshly-constructed
     /// `GridSimulation::new(cfg, seed)` would have — but keeping every
-    /// internal allocation (job table, execution-time table, event heap,
-    /// site queues, notification buffer). A trial loop that calls `reset`
-    /// between runs produces **bit-identical** histories to one that
-    /// constructs a new engine per trial, without touching the allocator
-    /// on the hot path.
+    /// internal allocation (job table, event heap, site queues,
+    /// notification buffer). A trial loop that calls `reset` between runs
+    /// produces **bit-identical** histories to one that constructs a new
+    /// engine per trial, without touching the allocator on the hot path.
     pub fn reset(&mut self, seed: u64) {
         self.now = SimTime::ZERO;
         self.queue.clear();
         self.jobs.clear();
-        self.exec_times.clear();
         for site in &mut self.sites {
             site.running = 0;
             site.queue.clear();
+            site.queued = 0;
         }
         self.rng = StdRng::seed_from_u64(seed);
         self.notifications.clear();
@@ -206,7 +209,8 @@ impl GridSimulation {
         &self.jobs[id.0 as usize]
     }
 
-    /// All job records (client and background), in submission order.
+    /// All job records (client and background), in submission order: the
+    /// record of [`JobId`] `i` is entry `i`.
     pub fn jobs(&self) -> &[JobRecord] {
         &self.jobs
     }
@@ -221,7 +225,7 @@ impl GridSimulation {
     /// While a non-zero scope is active:
     ///
     /// * every submitted client job carries the scope in its
-    ///   [`JobRecord::owner`] field, so a multiplexing controller can route
+    ///   [`JobRecord::owner`], so a multiplexing controller can route
     ///   job notifications back to the agent that submitted them;
     /// * timer tokens are namespaced: [`GridSimulation::set_timer`] stores
     ///   `scope << 32 | token` (the raw token must fit in 32 bits), and the
@@ -264,10 +268,12 @@ impl GridSimulation {
     /// [`GridSimulation::set_default_exec`] — i.e. a probe).
     pub fn submit(&mut self) -> JobId {
         let id = JobId(self.jobs.len() as u64);
-        let mut rec = JobRecord::new(id, JobOrigin::Client, self.now);
-        rec.owner = self.scope;
-        self.jobs.push(rec);
-        self.exec_times.push(self.default_exec);
+        self.jobs.push(JobRecord::new(
+            JobOrigin::Client,
+            self.scope,
+            self.now,
+            self.default_exec,
+        ));
         self.stats.client_submitted += 1;
         self.route_submission(id);
         id
@@ -282,7 +288,7 @@ impl GridSimulation {
     /// middleware first, and the job may *still start* in the meantime —
     /// the realistic failure mode of burst-cancellation on EGEE.
     pub fn cancel(&mut self, id: JobId) -> bool {
-        let state = self.jobs[id.0 as usize].state;
+        let state = self.jobs[id.0 as usize].state();
         if !(state.is_pending() || state == JobState::Stuck) {
             return false;
         }
@@ -297,23 +303,26 @@ impl GridSimulation {
     }
 
     fn apply_cancel(&mut self, id: JobId) {
-        let state = self.jobs[id.0 as usize].state;
+        let rec = &mut self.jobs[id.0 as usize];
+        let state = rec.state();
         if state.is_pending() || state == JobState::Stuck {
-            self.jobs[id.0 as usize].state = JobState::Cancelled;
-            self.jobs[id.0 as usize].terminated_at = Some(self.now);
+            if state == JobState::Queued {
+                // the queue itself is purged lazily when slots are assigned
+                let site = rec.site().expect("queued jobs have a site");
+                self.sites[site].queued -= 1;
+            }
+            rec.terminate(JobState::Cancelled, self.now);
             self.stats.client_cancelled += 1;
-            // site queues are purged lazily when slots are assigned
         }
     }
 
-    /// Pre-reserves capacity for `jobs` additional job records (job and
-    /// execution-time tables) and `events` additional queued events, so a
-    /// controller that knows its workload up front (a community fleet)
-    /// never grows those structures on the hot path. Purely an allocator
+    /// Pre-reserves capacity for `jobs` additional job records and
+    /// `events` additional pending events, so a controller that knows its
+    /// workload up front (a community fleet) never grows those structures
+    /// on the hot path. Purely an allocator
     /// hint: the simulated history is unaffected.
     pub fn reserve(&mut self, jobs: usize, events: usize) {
         self.jobs.reserve(jobs);
-        self.exec_times.reserve(jobs);
         self.queue.reserve(events);
     }
 
@@ -445,7 +454,7 @@ impl GridSimulation {
                 };
                 if raw >= model.threshold_s {
                     // silently lost: the client only learns via its own timeout
-                    self.jobs[id.0 as usize].state = JobState::Stuck;
+                    self.jobs[id.0 as usize].set_state(JobState::Stuck);
                     self.stats.client_stuck += 1;
                 } else {
                     self.queue.schedule(
@@ -464,7 +473,7 @@ impl GridSimulation {
                 let idx = self.rng.gen_range(0..latencies.len());
                 let raw = latencies[idx];
                 if raw >= *threshold_s {
-                    self.jobs[id.0 as usize].state = JobState::Stuck;
+                    self.jobs[id.0 as usize].set_state(JobState::Stuck);
                     self.stats.client_stuck += 1;
                 } else {
                     self.queue.schedule(
@@ -482,7 +491,7 @@ impl GridSimulation {
                     ),
                 };
                 if self.rng.gen::<f64>() < p_loss {
-                    self.jobs[id.0 as usize].state = JobState::Stuck;
+                    self.jobs[id.0 as usize].set_state(JobState::Stuck);
                     self.stats.client_stuck += 1;
                     return;
                 }
@@ -514,10 +523,10 @@ impl GridSimulation {
     }
 
     fn on_arrive_at_wms(&mut self, id: JobId) {
-        if !self.jobs[id.0 as usize].state.is_pending() {
+        if !self.jobs[id.0 as usize].state().is_pending() {
             return; // cancelled in flight
         }
-        self.jobs[id.0 as usize].state = JobState::AtWms;
+        self.jobs[id.0 as usize].set_state(JobState::AtWms);
         let (p_fail, mm_mean) = match self.modulation_factors() {
             None => (
                 self.cfg.faults.p_transient_failure,
@@ -546,11 +555,12 @@ impl GridSimulation {
         if stale {
             self.weighted_site()
         } else {
-            // least (queue + running) / slots ratio; ties broken by index
+            // least (running + live queued) / slots ratio; ties go to the
+            // lower index
             let mut best = 0usize;
             let mut best_load = f64::INFINITY;
             for (i, (sc, st)) in self.cfg.sites.iter().zip(&self.sites).enumerate() {
-                let load = (st.running + st.queue.len()) as f64 / sc.slots as f64;
+                let load = (st.running + st.queued) as f64 / sc.slots as f64;
                 if load < best_load {
                     best_load = load;
                     best = i;
@@ -561,12 +571,13 @@ impl GridSimulation {
     }
 
     fn on_dispatch(&mut self, id: JobId) {
-        if !self.jobs[id.0 as usize].state.is_pending() {
+        if !self.jobs[id.0 as usize].state().is_pending() {
             return;
         }
         let site = self.select_site();
-        self.jobs[id.0 as usize].state = JobState::Matched;
-        self.jobs[id.0 as usize].site = Some(site);
+        let rec = &mut self.jobs[id.0 as usize];
+        rec.set_state(JobState::Matched);
+        rec.set_site(site);
         let dispatch_mean = match self.modulation_factors() {
             None => self.cfg.wms.dispatch_mean_s,
             Some((intensity, _)) => self.cfg.wms.dispatch_mean_s * intensity,
@@ -577,14 +588,19 @@ impl GridSimulation {
     }
 
     fn on_enter_queue(&mut self, id: JobId) {
-        if !self.jobs[id.0 as usize].state.is_pending() {
+        if !self.jobs[id.0 as usize].state().is_pending() {
             return;
         }
-        let site = self.jobs[id.0 as usize]
-            .site
-            .expect("matched before queued");
-        self.jobs[id.0 as usize].state = JobState::Queued;
+        let rec = &mut self.jobs[id.0 as usize];
+        let site = rec.site().expect("matched before queued");
+        rec.set_state(JobState::Queued);
+        self.enqueue(site, id);
+    }
+
+    /// Appends a queued job to a site's batch queue and fills free slots.
+    fn enqueue(&mut self, site: usize, id: JobId) {
         self.sites[site].queue.push_back(id);
+        self.sites[site].queued += 1;
         self.try_start_jobs(site);
     }
 
@@ -594,9 +610,10 @@ impl GridSimulation {
             let Some(id) = self.sites[site].queue.pop_front() else {
                 break;
             };
-            if self.jobs[id.0 as usize].state != JobState::Queued {
+            if self.jobs[id.0 as usize].state() != JobState::Queued {
                 continue; // cancelled while waiting
             }
+            self.sites[site].queued -= 1;
             self.sites[site].running += 1;
             self.start_job(id);
         }
@@ -604,12 +621,11 @@ impl GridSimulation {
 
     fn start_job(&mut self, id: JobId) {
         let rec = &mut self.jobs[id.0 as usize];
-        rec.state = JobState::Running;
-        rec.started_at = Some(self.now);
-        let exec = self.exec_times[id.0 as usize];
+        rec.start(self.now);
+        let (exec, origin) = (rec.exec(), rec.origin());
         self.queue
             .schedule(self.now.after(exec), EventKind::Finish(id));
-        match rec.origin {
+        match origin {
             JobOrigin::Client => {
                 self.stats.client_started += 1;
                 self.notifications
@@ -620,34 +636,34 @@ impl GridSimulation {
     }
 
     fn on_oracle_start(&mut self, id: JobId) {
-        if !self.jobs[id.0 as usize].state.is_pending() {
+        if !self.jobs[id.0 as usize].state().is_pending() {
             return; // cancelled before its latency elapsed
         }
         self.start_job(id);
     }
 
     fn on_finish(&mut self, id: JobId) {
-        if self.jobs[id.0 as usize].state != JobState::Running {
+        let rec = &mut self.jobs[id.0 as usize];
+        if rec.state() != JobState::Running {
             return;
         }
-        self.jobs[id.0 as usize].state = JobState::Finished;
-        self.jobs[id.0 as usize].terminated_at = Some(self.now);
-        if let Some(site) = self.jobs[id.0 as usize].site {
+        rec.terminate(JobState::Finished, self.now);
+        let origin = rec.origin();
+        if let Some(site) = rec.site() {
             self.sites[site].running = self.sites[site].running.saturating_sub(1);
             self.try_start_jobs(site);
         }
-        if self.jobs[id.0 as usize].origin == JobOrigin::Client {
+        if origin == JobOrigin::Client {
             self.notifications
                 .push_back(Notification::JobFinished { id, at: self.now });
         }
     }
 
     fn on_fail(&mut self, id: JobId) {
-        if !self.jobs[id.0 as usize].state.is_pending() {
+        if !self.jobs[id.0 as usize].state().is_pending() {
             return;
         }
-        self.jobs[id.0 as usize].state = JobState::Failed;
-        self.jobs[id.0 as usize].terminated_at = Some(self.now);
+        self.jobs[id.0 as usize].terminate(JobState::Failed, self.now);
         self.stats.client_failed += 1;
         self.notifications
             .push_back(Notification::JobFailed { id, at: self.now });
@@ -708,14 +724,12 @@ impl GridSimulation {
     /// Inserts a background-origin job straight into a site's batch queue.
     fn enqueue_background(&mut self, site: usize, exec: SimDuration) {
         let id = JobId(self.jobs.len() as u64);
-        let mut rec = JobRecord::new(id, JobOrigin::Background, self.now);
-        rec.state = JobState::Queued;
-        rec.site = Some(site);
+        let mut rec = JobRecord::new(JobOrigin::Background, 0, self.now, exec);
+        rec.set_state(JobState::Queued);
+        rec.set_site(site);
         self.jobs.push(rec);
-        self.exec_times.push(exec);
         self.stats.background_submitted += 1;
-        self.sites[site].queue.push_back(id);
-        self.try_start_jobs(site);
+        self.enqueue(site, id);
     }
 }
 
@@ -761,7 +775,7 @@ mod tests {
         fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
             match ev {
                 Notification::JobStarted { id, at } => {
-                    let lat = at.since(sim.job(id).submitted_at).as_secs();
+                    let lat = at.since(sim.job(id).submitted_at()).as_secs();
                     self.latencies.push(lat);
                 }
                 Notification::Timer { .. } => self.deadline_tokens += 1,
@@ -807,18 +821,38 @@ mod tests {
         assert_ne!(run(7), run(8));
     }
 
+    /// One job's audit fields as read through the record's accessors:
+    /// id (its table index), state, submission, start and termination
+    /// instants (as `f64` bits), execution time, site, owner and origin.
+    type JobPrint = (
+        usize,
+        JobState,
+        u64,
+        Option<u64>,
+        Option<u64>,
+        SimDuration,
+        Option<usize>,
+        u64,
+        JobOrigin,
+    );
+
     /// Full bit-level fingerprint of a finished run: every audit field of
-    /// every job plus the aggregate counters.
-    fn fingerprint(sim: &GridSimulation) -> Vec<(u64, u8, u64, u64, u64)> {
+    /// every job.
+    fn fingerprint(sim: &GridSimulation) -> Vec<JobPrint> {
         sim.jobs()
             .iter()
-            .map(|r| {
+            .enumerate()
+            .map(|(i, r)| {
                 (
-                    r.id.0,
-                    r.state as u8,
-                    r.submitted_at.as_secs().to_bits(),
-                    r.started_at.map_or(u64::MAX, |t| t.as_secs().to_bits()),
-                    r.terminated_at.map_or(u64::MAX, |t| t.as_secs().to_bits()),
+                    i,
+                    r.state(),
+                    r.submitted_at().as_secs().to_bits(),
+                    r.started_at().map(|t| t.as_secs().to_bits()),
+                    r.terminated_at().map(|t| t.as_secs().to_bits()),
+                    r.exec(),
+                    r.site(),
+                    r.owner(),
+                    r.origin(),
                 )
             })
             .collect()
@@ -901,7 +935,7 @@ mod tests {
             match ev {
                 Notification::JobStarted { id, at } if self.current == Some(id) => {
                     self.latencies
-                        .push(at.since(sim.job(id).submitted_at).as_secs());
+                        .push(at.since(sim.job(id).submitted_at()).as_secs());
                     if self.submitted < self.n {
                         self.next(sim);
                     } else {
@@ -941,11 +975,11 @@ mod tests {
         // bucket latencies by submission phase
         let (mut peak, mut trough) = (Vec::new(), Vec::new());
         for rec in sim.jobs() {
-            let Some(start) = rec.started_at else {
+            let Some(start) = rec.started_at() else {
                 continue;
             };
-            let lat = start.since(rec.submitted_at).as_secs();
-            let phase = (rec.submitted_at.as_secs() / 86_400.0).fract();
+            let lat = start.since(rec.submitted_at()).as_secs();
+            let phase = (rec.submitted_at().as_secs() / 86_400.0).fract();
             if (0.15..0.35).contains(&phase) {
                 peak.push(lat);
             } else if (0.65..0.85).contains(&phase) {
@@ -1177,7 +1211,7 @@ mod tests {
         sim.run_controller(&mut ctrl);
         // same raw token, three distinct namespaced deliveries in arm order
         assert_eq!(ctrl.tokens, vec![7 << 32 | 3, 9 << 32 | 3, 3]);
-        let owners: Vec<u64> = sim.jobs().iter().map(|r| r.owner).collect();
+        let owners: Vec<u64> = sim.jobs().iter().map(|r| r.owner()).collect();
         assert_eq!(owners, vec![7, 9, 0]);
     }
 
@@ -1208,7 +1242,10 @@ mod tests {
         let mut ctrl = OneJob { finished_at: None };
         sim.run_controller(&mut ctrl);
         let rec = &sim.jobs()[0];
-        let held = rec.terminated_at.unwrap().since(rec.started_at.unwrap());
+        let held = rec
+            .terminated_at()
+            .unwrap()
+            .since(rec.started_at().unwrap());
         assert!(
             (held.as_secs() - 500.0).abs() < 1e-9,
             "job held its slot {} s",
@@ -1402,6 +1439,71 @@ mod tests {
     }
 
     #[test]
+    fn least_loaded_ranking_ignores_cancelled_queue_residue() {
+        // two one-slot sites, both busy; then site 0 queues two jobs that
+        // are cancelled and site 1 one live job: site 0 is the less loaded
+        // and must win the next match
+        let mut cfg = GridConfig::pipeline_default();
+        cfg.background = None;
+        cfg.faults.p_silent_loss = 0.0;
+        cfg.faults.p_transient_failure = 0.0;
+        cfg.wms.ui_to_wms_mean_s = 1e-3;
+        cfg.wms.matchmaking_mean_s = 1e-3;
+        cfg.wms.dispatch_mean_s = 1e-3;
+        cfg.wms.ranking = RankingPolicy::LeastLoaded { stale_prob: 0.0 };
+        let site = |name: &str| crate::config::SiteConfig {
+            name: name.into(),
+            slots: 1,
+            weight: 1.0,
+        };
+        cfg.sites = vec![site("A"), site("B")];
+        cfg.horizon = SimDuration::from_secs(100.0);
+
+        /// One action every 10 s; every job holds its slot past the
+        /// horizon, so nothing ever leaves a site.
+        struct Script {
+            jobs: Vec<JobId>,
+        }
+        impl Script {
+            fn act(&mut self, sim: &mut GridSimulation) {
+                if self.jobs.len() == 5 {
+                    // cancel the two jobs queued at site 0
+                    assert!(sim.cancel(self.jobs[2]));
+                    assert!(sim.cancel(self.jobs[4]));
+                }
+                if self.jobs.len() < 6 {
+                    self.jobs.push(sim.submit());
+                    sim.set_timer(SimDuration::from_secs(10.0), 0);
+                }
+            }
+        }
+        impl Controller for Script {
+            fn start(&mut self, sim: &mut GridSimulation) {
+                sim.set_default_exec(SimDuration::from_secs(1e6));
+                self.act(sim);
+            }
+            fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
+                if let Notification::Timer { .. } = ev {
+                    self.act(sim);
+                }
+            }
+            fn done(&self) -> bool {
+                false // runs to the horizon
+            }
+        }
+        let mut sim = GridSimulation::new(cfg, 41).unwrap();
+        let mut ctrl = Script { jobs: Vec::new() };
+        sim.run_controller(&mut ctrl);
+        let sites: Vec<Option<usize>> = ctrl.jobs.iter().map(|&id| sim.job(id).site()).collect();
+        // running A@0, B@1; queued C1@0, C2@1, C3@0 (ties go to site 0)
+        assert_eq!(sites[..5], [Some(0), Some(1), Some(0), Some(1), Some(0)]);
+        assert_eq!(sim.job(ctrl.jobs[2]).state(), JobState::Cancelled);
+        assert_eq!(sim.job(ctrl.jobs[3]).state(), JobState::Queued);
+        // live load: site 0 = 1 running, site 1 = 1 running + 1 queued
+        assert_eq!(sites[5], Some(0), "cancelled jobs were counted as load");
+    }
+
+    #[test]
     fn horizon_stops_runaway_runs() {
         let mut cfg = GridConfig::pipeline_default();
         cfg.horizon = SimDuration::from_secs(100.0);
@@ -1430,14 +1532,15 @@ mod tests {
             // the run stops the instant the last start is observed, so its
             // same-instant Finish event may be left unprocessed
             assert!(
-                rec.state == JobState::Finished || rec.state == JobState::Running,
+                rec.state() == JobState::Finished || rec.state() == JobState::Running,
                 "unexpected state {:?}",
-                rec.state
+                rec.state()
             );
-            let started = rec.started_at.unwrap();
-            assert!(started >= rec.submitted_at);
-            if rec.state == JobState::Finished {
-                assert_eq!(rec.terminated_at.unwrap(), started); // zero exec time
+            let started = rec.started_at().unwrap();
+            assert!(started >= rec.submitted_at());
+            assert_eq!(rec.exec(), SimDuration::ZERO);
+            if rec.state() == JobState::Finished {
+                assert_eq!(rec.terminated_at().unwrap(), started); // zero exec time
             }
         }
     }

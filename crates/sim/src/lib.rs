@@ -37,7 +37,11 @@
 //!
 //! * [`time`] — millisecond-resolution simulation clock;
 //! * [`event`] — deterministic event queue (time, sequence) ordered;
-//! * [`job`] — job state machine and per-job audit records;
+//! * [`job`] — job state machine and per-job audit records: the engine's
+//!   job table holds one 40-byte [`JobRecord`] per submitted job, indexed
+//!   by its [`JobId`], and read through accessors
+//!   ([`JobRecord::started_at`], [`JobRecord::site`], …) that decode
+//!   "not yet" into `None`;
 //! * [`config`] — grid topology, fault, background-load and latency-mode
 //!   configuration;
 //! * [`engine`] — the [`GridSimulation`] event loop and the [`Controller`]

@@ -83,7 +83,7 @@ impl ProbeHarness {
     }
 
     fn record(&mut self, sim: &GridSimulation, id: JobId, latency_s: f64, status: ProbeStatus) {
-        let submitted_at = sim.job(id).submitted_at.as_secs();
+        let submitted_at = sim.job(id).submitted_at().as_secs();
         self.records.push(ProbeRecord {
             submitted_at,
             latency_s,
@@ -105,7 +105,7 @@ impl Controller for ProbeHarness {
                 // probes are null jobs: start ≈ completion; measure latency
                 // at start exactly as the paper defines it
                 if self.active.remove(&id) {
-                    let lat = at.since(sim.job(id).submitted_at).as_secs();
+                    let lat = at.since(sim.job(id).submitted_at()).as_secs();
                     self.record(sim, id, lat, ProbeStatus::Completed);
                     self.launch_probe(sim);
                 }

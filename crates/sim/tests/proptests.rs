@@ -98,17 +98,17 @@ fn started_jobs_have_consistent_records() {
         };
         sim.run_controller(&mut ctrl);
         for rec in sim.jobs() {
-            match rec.state {
+            match rec.state() {
                 JobState::Running | JobState::Finished => {
-                    let started = rec.started_at.expect("running jobs have a start");
-                    assert!(started >= rec.submitted_at, "case {case}");
+                    let started = rec.started_at().expect("running jobs have a start");
+                    assert!(started >= rec.submitted_at(), "case {case}");
                     // oracle latency respects the 50 s shift
                     assert!(
-                        started.since(rec.submitted_at).as_secs() >= 50.0 - 1e-6,
+                        started.since(rec.submitted_at()).as_secs() >= 50.0 - 1e-6,
                         "case {case}"
                     );
                 }
-                JobState::Stuck => assert!(rec.started_at.is_none(), "case {case}"),
+                JobState::Stuck => assert!(rec.started_at().is_none(), "case {case}"),
                 _ => {}
             }
         }
@@ -133,7 +133,7 @@ fn identical_seeds_identical_histories() {
             sim.run_controller(&mut ctrl);
             sim.jobs()
                 .iter()
-                .map(|r| (r.state, r.started_at, r.terminated_at))
+                .map(|r| (r.state(), r.started_at(), r.terminated_at()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(

@@ -114,7 +114,9 @@ impl StreamingEcdf {
             window,
             decay,
             threshold,
-            buf: VecDeque::with_capacity(window),
+            // grown on demand: a short-lived stream (one adaptive user's
+            // few tasks) never fills a wide window
+            buf: VecDeque::new(),
             ew_weight: 0.0,
             ew_censored: 0.0,
             ew_body_sum: 0.0,
@@ -133,6 +135,10 @@ impl StreamingEcdf {
         );
         if self.buf.len() == self.window {
             self.buf.pop_front();
+        } else if self.buf.len() == self.buf.capacity() {
+            // double, but never past the window
+            let len = self.buf.len();
+            self.buf.reserve_exact(len.max(4).min(self.window - len));
         }
         self.buf.push_back(obs);
         self.ew_weight = self.decay * self.ew_weight + 1.0;
@@ -161,7 +167,8 @@ impl StreamingEcdf {
     }
 
     /// Forgets everything — back to the just-constructed state, keeping
-    /// the window allocation (the fleet/adaptive reset path).
+    /// whatever window allocation was reached (the fleet/adaptive reset
+    /// path).
     pub fn clear(&mut self) {
         self.buf.clear();
         self.ew_weight = 0.0;
@@ -451,6 +458,47 @@ mod tests {
         est.clear();
         assert_eq!(est.snapshot().unwrap_err(), EcdfError::Empty);
         assert_eq!(est.seen(), 0);
+    }
+
+    #[test]
+    fn window_is_allocated_on_demand_and_clear_replays_identically() {
+        let mut est = StreamingEcdf::new(150, 0.95, 1_000.0).unwrap();
+        assert_eq!(est.buf.capacity(), 0, "no window before an observation");
+        let stream: Vec<Observation> = (0..400)
+            .map(|i| {
+                let x = (i * 37 % 1_100) as f64 + 0.5;
+                if i % 7 == 0 {
+                    Observation::Censored(x)
+                } else {
+                    Observation::Started(x)
+                }
+            })
+            .collect();
+        let replay = |est: &mut StreamingEcdf| {
+            let mut prints = Vec::new();
+            for (i, &obs) in stream.iter().enumerate() {
+                est.observe(obs);
+                assert!(est.buf.capacity() <= est.window(), "window over-allocated");
+                if i % 50 == 3 {
+                    let snap = est.snapshot().unwrap();
+                    prints.push((
+                        snap.body().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        snap.n_total(),
+                        est.decayed_value_mean().to_bits(),
+                        est.decayed_censored_fraction().to_bits(),
+                        est.seen(),
+                    ));
+                }
+            }
+            prints
+        };
+        let first = replay(&mut est);
+        let reached = est.buf.capacity();
+        est.clear();
+        assert_eq!(est.buf.capacity(), reached, "clear keeps the allocation");
+        assert_eq!(replay(&mut est), first);
+        let mut fresh = StreamingEcdf::new(150, 0.95, 1_000.0).unwrap();
+        assert_eq!(replay(&mut fresh), first);
     }
 
     #[test]
