@@ -144,12 +144,7 @@ impl AdaptiveConfig {
 
 /// The cancellation timeout `t∞` every strategy family carries.
 pub fn timeout_of(p: StrategyParams) -> f64 {
-    match p {
-        StrategyParams::Single { t_inf }
-        | StrategyParams::Multiple { t_inf, .. }
-        | StrategyParams::Delayed { t_inf, .. }
-        | StrategyParams::DelayedMultiple { t_inf, .. } => t_inf,
-    }
+    p.echelon().2
 }
 
 /// Whether an abandoned job's waiting time is *timeout-censoring
@@ -541,7 +536,7 @@ fn run_sequence(
     let mut sim = GridSimulation::new(Arc::clone(grid), seed)
         .expect("sequence grid configs are always valid");
     let mut params = initial;
-    let mut session = TaskSession::new(params.build_controller());
+    let mut session = TaskSession::new(params);
     let mut tasks = Vec::with_capacity(n_tasks);
     let mut retunes = 0usize;
 
@@ -581,7 +576,7 @@ fn run_sequence(
                 };
                 if next != params {
                     params = next;
-                    session = TaskSession::new(params.build_controller());
+                    session.rebind(params);
                     retunes += 1;
                 }
             }

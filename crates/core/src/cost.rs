@@ -68,6 +68,21 @@ pub enum StrategyParams {
     },
 }
 
+impl StrategyParams {
+    /// The instance as the one client protocol every family is: submit an
+    /// echelon of `b` copies every `t0` and cancel each echelon `t∞` after
+    /// it was submitted. Returns `(b, t0, t∞)`; single and multiple
+    /// submission take `t0 = t∞`, so each echelon replaces the last.
+    pub fn echelon(self) -> (u32, f64, f64) {
+        match self {
+            StrategyParams::Single { t_inf } => (1, t_inf, t_inf),
+            StrategyParams::Multiple { b, t_inf } => (b, t_inf, t_inf),
+            StrategyParams::Delayed { t0, t_inf } => (1, t0, t_inf),
+            StrategyParams::DelayedMultiple { b, t0, t_inf } => (b, t0, t_inf),
+        }
+    }
+}
+
 /// Eq. 6: `∆cost = N_// · E_J / E*_J(single)`.
 pub fn delta_cost(n_parallel: f64, e_j: f64, e_j_single_opt: f64) -> f64 {
     assert!(

@@ -6,9 +6,9 @@
 //! controller submits, cancels and re-submits jobs exactly as a user's
 //! wrapper script would, and the realised total latency `J`, submission
 //! count and time-average parallel-job count are measured from the engine's
-//! audit records. Controllers are built through
-//! [`Strategy::build_controller`], so the executor never matches on
-//! strategy variants.
+//! audit records. Every family runs on one controller, the echelon
+//! protocol of [`StrategyParams::echelon`], so the executor never matches
+//! on strategy variants.
 //!
 //! Two entry points share one trial loop:
 //!
@@ -30,28 +30,15 @@
 use crate::cost::StrategyParams;
 use crate::latency::ParametricModel;
 use crate::replicate::fold_ordered;
-use crate::strategy::Strategy;
+use crate::strategy::{DelayedResubmission, Strategy};
 use gridstrat_sim::{
     Controller, GridConfig, GridSimulation, JobId, LatencyMode, Notification, SimDuration,
 };
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::Summary;
 use gridstrat_workload::{WeekId, WeekModel, MAX_FAULT_RATIO};
+use std::ops::Range;
 use std::sync::Arc;
-
-/// A [`Controller`] realising a submission strategy, exposing the realised
-/// total latency once a job of the current task has started.
-pub trait StrategyController: Controller + Send {
-    /// The realised total latency `J` in seconds, once known.
-    fn total_latency(&self) -> Option<f64>;
-
-    /// Rewinds the controller to the state [`Strategy::build_controller`]
-    /// constructs it in, keeping internal allocations. A reset controller
-    /// must drive a trial **bit-identically** to a freshly-built one — the
-    /// Monte-Carlo workers reuse one controller across every trial of a
-    /// cell.
-    fn reset(&mut self);
-}
 
 /// Monte-Carlo run configuration.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +92,7 @@ struct TrialCell {
 /// allocator.
 struct TrialWorker {
     sim: GridSimulation,
-    ctrl: Box<dyn StrategyController>,
+    ctrl: EchelonCtrl,
 }
 
 impl TrialWorker {
@@ -130,7 +117,7 @@ impl TrialWorker {
                 let worker = TrialWorker {
                     sim: GridSimulation::new(Arc::clone(&plan.grid), seed)
                         .expect("executor grid configs are always valid"),
-                    ctrl: plan.strategy.build_controller(),
+                    ctrl: EchelonCtrl::new(plan.strategy),
                 };
                 *slot = Some((cell, worker));
             }
@@ -143,7 +130,7 @@ impl TrialWorker {
     /// before the horizon.
     fn run(&mut self) -> Option<[f64; 3]> {
         let sim = &mut self.sim;
-        sim.run_controller(self.ctrl.as_mut());
+        sim.run_controller(&mut self.ctrl);
         let j = self.ctrl.total_latency()?;
 
         // cancel everything still pending so bookkeeping below sees a
@@ -426,7 +413,7 @@ impl ScenarioSweep {
             | StrategyParams::DelayedMultiple { t0, t_inf, .. } = *s
             {
                 assert!(
-                    crate::strategy::DelayedResubmission::feasible(t0, t_inf),
+                    DelayedResubmission::feasible(t0, t_inf),
                     "sweep strategy {i}: infeasible delayed pair ({t0}, {t_inf})"
                 );
             }
@@ -511,148 +498,107 @@ impl ScenarioSweep {
     }
 }
 
-// --- burst submission ---------------------------------------------------------
+// --- the echelon controller ----------------------------------------------------
 
-/// Controller realising `b`-fold burst submission, and single resubmission
-/// as its `b = 1` case: submit a round of `b` jobs and arm the round's
-/// timer; on the first start cancel the rest of the round; when the timer
-/// fires first, cancel the whole round and submit the next.
-pub(crate) struct BurstCtrl {
+/// Timer-token flags: the timer of echelon `k` carries `k << 2 | flags`.
+const CANCEL: u64 = 1;
+const SUBMIT: u64 = 2;
+
+/// The one client protocol behind every strategy family: submit an echelon
+/// of `b` copies every `t0`, cancel each echelon `t∞` after it was
+/// submitted, and on the first start of a job of a live (not yet
+/// cancelled) echelon cancel every other live job. Single and multiple
+/// submission are `t0 = t∞`, where one timer both cancels an echelon and
+/// submits the next; delayed resubmission arms a cancel timer and a
+/// next-submission timer per echelon.
+///
+/// An echelon's jobs have consecutive ids, so it is stored as its first id.
+/// `t∞ ≤ 2·t0` keeps at most two echelons live, three for the millisecond
+/// by which rounding can put `t∞` past `2·t0`, so a ring of three first ids
+/// covers every live echelon and the controller allocates nothing.
+pub(crate) struct EchelonCtrl {
     b: u32,
+    t0: SimDuration,
     t_inf: SimDuration,
-    /// The current round's number, also its timer token.
-    round: u32,
-    /// The current round's first job: its `b` jobs have consecutive ids,
-    /// so a round needs no allocation.
-    first: JobId,
+    /// Echelons submitted so far; echelon `k` starts at `first[k % 3]`.
+    submitted: u64,
+    /// Echelons cancelled so far: echelons `cancelled..submitted` are live.
+    cancelled: u64,
+    first: [JobId; 3],
     j: Option<f64>,
 }
 
-impl BurstCtrl {
-    pub(crate) fn new(b: u32, t_inf: f64) -> Self {
-        assert!(b >= 1, "need at least one job per collection");
+impl EchelonCtrl {
+    /// Panics for an instance whose protocol cannot be executed: no copies
+    /// (`b = 0`), a timeout that is not finite and positive, or an
+    /// infeasible delayed pair.
+    pub(crate) fn new(params: StrategyParams) -> Self {
+        let (b, t0, t_inf) = params.echelon();
+        assert!(b >= 1, "need at least one job per echelon, got b = {b}");
         assert!(
             t_inf.is_finite() && t_inf > 0.0,
             "timeout must be finite and positive, got {t_inf}"
         );
-        BurstCtrl {
-            b,
-            t_inf: SimDuration::from_secs(t_inf),
-            round: 0,
-            first: JobId(0),
-            j: None,
-        }
-    }
-
-    /// The current round's jobs.
-    fn jobs(&self) -> impl Iterator<Item = JobId> {
-        (self.first.0..self.first.0 + u64::from(self.b)).map(JobId)
-    }
-
-    fn submit_round(&mut self, sim: &mut GridSimulation) {
-        self.first = sim.submit();
-        for k in 1..u64::from(self.b) {
-            let id = sim.submit();
-            debug_assert_eq!(id.0, self.first.0 + k, "a round's jobs must be consecutive");
-        }
-        sim.set_timer(self.t_inf, u64::from(self.round));
-    }
-}
-
-impl Controller for BurstCtrl {
-    fn start(&mut self, sim: &mut GridSimulation) {
-        self.submit_round(sim);
-    }
-
-    fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
-        if self.j.is_some() {
-            return;
-        }
-        match ev {
-            Notification::JobStarted { id, at } if self.jobs().any(|o| o == id) => {
-                self.j = Some(at.as_secs());
-                for o in self.jobs().filter(|&o| o != id) {
-                    sim.cancel(o);
-                }
-            }
-            Notification::Timer { token, .. } if token == u64::from(self.round) => {
-                for o in self.jobs() {
-                    sim.cancel(o);
-                }
-                self.round += 1;
-                self.submit_round(sim);
-            }
-            _ => {}
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.j.is_some()
-    }
-}
-
-impl StrategyController for BurstCtrl {
-    fn total_latency(&self) -> Option<f64> {
-        self.j
-    }
-
-    fn reset(&mut self) {
-        self.round = 0;
-        self.j = None;
-    }
-}
-
-// --- delayed resubmission ------------------------------------------------------
-
-/// Controller realising (generalised) delayed resubmission.
-pub(crate) struct DelayedCtrl {
-    b: u32,
-    t0: SimDuration,
-    t_inf: SimDuration,
-    /// all jobs, echelon by echelon (`b` jobs per echelon)
-    jobs: Vec<JobId>,
-    echelons: u64,
-    j: Option<f64>,
-}
-
-/// Timer-token encoding for the delayed controller: even = “submit the next
-/// echelon”, odd = “cancel job (token-1)/2”.
-fn submit_token(echelon: u64) -> u64 {
-    2 * echelon
-}
-fn cancel_token(id: JobId) -> u64 {
-    2 * id.0 + 1
-}
-
-impl DelayedCtrl {
-    pub(crate) fn new(b: u32, t0: f64, t_inf: f64) -> Self {
-        assert!(b >= 1, "need at least one copy per echelon");
         assert!(
-            crate::strategy::DelayedResubmission::feasible(t0, t_inf),
-            "delayed controller requires a feasible pair"
+            DelayedResubmission::feasible(t0, t_inf),
+            "an echelon needs a feasible pair t0 <= t_inf <= 2 t0, got ({t0}, {t_inf})"
         );
-        DelayedCtrl {
+        EchelonCtrl {
             b,
             t0: SimDuration::from_secs(t0),
             t_inf: SimDuration::from_secs(t_inf),
-            jobs: Vec::new(),
-            echelons: 0,
+            submitted: 0,
+            cancelled: 0,
+            first: [JobId(0); 3],
             j: None,
         }
     }
 
+    /// The realised total latency `J` in seconds, once a job has won.
+    pub(crate) fn total_latency(&self) -> Option<f64> {
+        self.j
+    }
+
+    /// Rewinds to the state `new` builds, so a reused controller drives a
+    /// trial bit-identically to a fresh one.
+    pub(crate) fn reset(&mut self) {
+        self.submitted = 0;
+        self.cancelled = 0;
+        self.j = None;
+    }
+
+    /// Echelon `k`'s job ids.
+    fn echelon(&self, k: u64) -> Range<u64> {
+        let first = self.first[(k % 3) as usize].0;
+        first..first + u64::from(self.b)
+    }
+
+    fn is_live(&self, id: JobId) -> bool {
+        (self.cancelled..self.submitted).any(|k| self.echelon(k).contains(&id.0))
+    }
+
     fn submit_echelon(&mut self, sim: &mut GridSimulation) {
-        for _ in 0..self.b {
+        debug_assert!(
+            self.submitted - self.cancelled < 3,
+            "a live echelon would be lost"
+        );
+        let (k, first) = (self.submitted, sim.submit());
+        for n in 1..u64::from(self.b) {
             let id = sim.submit();
-            self.jobs.push(id);
-            sim.set_timer(self.t_inf, cancel_token(id));
+            debug_assert_eq!(id.0, first.0 + n, "an echelon's jobs must be consecutive");
         }
-        self.echelons += 1;
-        sim.set_timer(self.t0, submit_token(self.echelons));
+        self.first[(k % 3) as usize] = first;
+        self.submitted += 1;
+        if self.t0 == self.t_inf {
+            sim.set_timer(self.t_inf, k << 2 | CANCEL | SUBMIT);
+        } else {
+            sim.set_timer(self.t_inf, k << 2 | CANCEL);
+            sim.set_timer(self.t0, k << 2 | SUBMIT);
+        }
     }
 }
 
-impl Controller for DelayedCtrl {
+impl Controller for EchelonCtrl {
     fn start(&mut self, sim: &mut GridSimulation) {
         self.submit_echelon(sim);
     }
@@ -662,22 +608,30 @@ impl Controller for DelayedCtrl {
             return;
         }
         match ev {
-            Notification::JobStarted { id, at } if self.jobs.contains(&id) => {
+            Notification::JobStarted { id, at } if self.is_live(id) => {
                 self.j = Some(at.as_secs());
-                for &o in &self.jobs {
-                    if o != id {
-                        sim.cancel(o);
+                for k in self.cancelled..self.submitted {
+                    for o in self.echelon(k).filter(|&o| o != id.0) {
+                        sim.cancel(JobId(o));
                     }
                 }
             }
             Notification::Timer { token, .. } => {
-                if token % 2 == 1 {
-                    sim.cancel(JobId((token - 1) / 2));
-                } else {
-                    // submit echelon number `token/2` (0-based count so far)
-                    if token / 2 == self.echelons {
-                        self.submit_echelon(sim);
+                let k = token >> 2;
+                if token & CANCEL != 0 {
+                    debug_assert_eq!(k, self.cancelled, "echelons are cancelled in order");
+                    for o in self.echelon(k) {
+                        sim.cancel(JobId(o));
                     }
+                    self.cancelled += 1;
+                }
+                if token & SUBMIT != 0 {
+                    debug_assert_eq!(
+                        k + 1,
+                        self.submitted,
+                        "only the newest echelon has a successor"
+                    );
+                    self.submit_echelon(sim);
                 }
             }
             _ => {}
@@ -686,18 +640,6 @@ impl Controller for DelayedCtrl {
 
     fn done(&self) -> bool {
         self.j.is_some()
-    }
-}
-
-impl StrategyController for DelayedCtrl {
-    fn total_latency(&self) -> Option<f64> {
-        self.j
-    }
-
-    fn reset(&mut self) {
-        self.jobs.clear();
-        self.echelons = 0;
-        self.j = None;
     }
 }
 
@@ -836,6 +778,23 @@ mod tests {
                 t0: 400.0,
                 t_inf: 560.0,
             },
+            // t0 = t∞: one merged timer per echelon
+            StrategyParams::Delayed {
+                t0: 700.0,
+                t_inf: 700.0,
+            },
+            StrategyParams::DelayedMultiple {
+                b: 3,
+                t0: 800.0,
+                t_inf: 800.0,
+            },
+            // t∞ = 2·t0 in f64, one millisecond past it once rounded, so
+            // three echelons are live for that millisecond
+            StrategyParams::DelayedMultiple {
+                b: 2,
+                t0: 200.0003,
+                t_inf: 400.0006,
+            },
         ] {
             let run_with = |threads: usize| {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -908,14 +867,107 @@ mod tests {
     }
 
     #[test]
-    fn single_resubmission_is_the_one_copy_burst() {
-        // both families run on the burst controller, so b = 1 replays the
-        // single-resubmission history to the bit
-        let ex = StrategyExecutor::new(week(), cfg(300));
-        let single = ex.run(StrategyParams::Single { t_inf: 700.0 });
-        let burst = ex.run(StrategyParams::Multiple { b: 1, t_inf: 700.0 });
-        assert_eq!(format!("{single:?}"), format!("{burst:?}"));
-        assert!(single.mean_submissions > 1.0, "no resubmission happened");
+    fn one_protocol_covers_every_family() {
+        // every family is the echelon protocol: single resubmission is the
+        // one-copy burst, and delayed resubmission at t0 = t∞ is the burst
+        // of its copies, so each pair replays the same history to the bit
+        let ex = StrategyExecutor::new(week(), cfg(2_000));
+        for (a, b) in [
+            (
+                StrategyParams::Single { t_inf: 700.0 },
+                StrategyParams::Multiple { b: 1, t_inf: 700.0 },
+            ),
+            (
+                StrategyParams::Single { t_inf: 700.0 },
+                StrategyParams::Delayed {
+                    t0: 700.0,
+                    t_inf: 700.0,
+                },
+            ),
+            (
+                StrategyParams::Multiple { b: 3, t_inf: 800.0 },
+                StrategyParams::DelayedMultiple {
+                    b: 3,
+                    t0: 800.0,
+                    t_inf: 800.0,
+                },
+            ),
+        ] {
+            let (x, y) = (ex.run(a), ex.run(b));
+            assert_eq!(format!("{x:?}"), format!("{y:?}"), "{a:?} vs {b:?}");
+            assert!(x.mean_submissions > 1.0, "{a:?}: no resubmission happened");
+        }
+    }
+
+    #[test]
+    fn a_start_from_a_cancelled_echelon_never_completes_the_task() {
+        // One site, no background, no faults and a cancellation delay far
+        // above the pipeline's hop delays: a cancelled job usually reaches
+        // its slot before its cancellation does. Such a start must not
+        // complete the task, and no job may be asked to cancel twice, so
+        // every job but the winner gets exactly one request.
+        let mut grid = GridConfig::pipeline_default();
+        grid.sites.truncate(1);
+        grid.background = None;
+        grid.faults.p_silent_loss = 0.0;
+        grid.faults.p_transient_failure = 0.0;
+        grid.wms.cancellation_delay_mean_s = 2_000.0;
+        for spec in [
+            StrategyParams::Single { t_inf: 90.0 },
+            StrategyParams::Multiple { b: 2, t_inf: 90.0 },
+            StrategyParams::Delayed {
+                t0: 60.0,
+                t_inf: 90.0,
+            },
+            StrategyParams::DelayedMultiple {
+                b: 2,
+                t0: 60.0,
+                t_inf: 90.0,
+            },
+        ] {
+            let t_inf = crate::adaptive::timeout_of(spec);
+            let mut sim = GridSimulation::new(grid.clone(), 5).expect("valid grid");
+            let mut session = crate::TaskSession::new(spec);
+            let mut late_starts = 0;
+            for scope in 1..=40 {
+                let requests = sim.stats().client_cancel_requests;
+                session.begin(scope, SimDuration::ZERO);
+                sim.run_controller(&mut session);
+                let j = session.total_latency().expect("the task completes");
+                let winner = session
+                    .jobs()
+                    .iter()
+                    .map(|&id| sim.job(id))
+                    .find(|rec| rec.started_at().map(|t| t.as_secs()) == Some(j))
+                    .expect("the winner started at J");
+                assert!(
+                    j - winner.submitted_at().as_secs() <= t_inf,
+                    "{spec:?}, task {scope}: a job started {} s after its \
+                     submission, past t_inf = {t_inf}, and completed the task",
+                    j - winner.submitted_at().as_secs()
+                );
+                assert_eq!(
+                    sim.stats().client_cancel_requests - requests,
+                    session.jobs().len() as u64 - 1,
+                    "{spec:?}, task {scope}: every job but the winner is asked once"
+                );
+                late_starts += session
+                    .jobs()
+                    .iter()
+                    .map(|&id| sim.job(id))
+                    .filter(|rec| {
+                        rec.started_at().is_some_and(|st| {
+                            let st = st.as_secs();
+                            st - rec.submitted_at().as_secs() > t_inf && st < j
+                        })
+                    })
+                    .count();
+            }
+            assert!(
+                late_starts > 0,
+                "{spec:?}: no cancelled job started before its task completed"
+            );
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use adaptive::{
 pub use cost::{cost_point, delta_cost, CostPoint, StrategyParams};
 pub use executor::{
     GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome, ScenarioSweep,
-    StrategyController, StrategyExecutor,
+    StrategyExecutor,
 };
 pub use latency::{EmpiricalModel, LatencyModel, ParametricModel};
 pub use session::TaskSession;

@@ -2,32 +2,42 @@
 //! many owners (the tasks of a sequence run, the users of a community fleet).
 
 use crate::adaptive::is_timeout_censored;
-use crate::executor::StrategyController;
+use crate::cost::StrategyParams;
+use crate::executor::EchelonCtrl;
 use gridstrat_sim::{Controller, GridSimulation, JobId, Notification, SimDuration};
 use gridstrat_stats::StreamingEcdf;
 
-/// A strategy controller bound to one task's engine client scope and
+/// A strategy's controller bound to one task's engine client scope and
 /// default execution time. It drops notifications of other scopes (stale
 /// echoes, other users' jobs) and records the [`JobId`]s the task
 /// submitted, so harvesting its observations or cancelling its leftovers
 /// costs O(own jobs). Reused from task to task ([`TaskSession::begin`]);
 /// as a [`Controller`] it rewinds the wrapped controller on `start`.
 pub struct TaskSession {
-    ctrl: Box<dyn StrategyController>,
+    ctrl: EchelonCtrl,
     scope: u64,
     exec: SimDuration,
     jobs: Vec<JobId>,
 }
 
 impl TaskSession {
-    /// Wraps `ctrl`; call [`TaskSession::begin`] before each task.
-    pub fn new(ctrl: Box<dyn StrategyController>) -> Self {
+    /// A session running `strategy`; call [`TaskSession::begin`] before
+    /// each task. Panics for an instance whose protocol cannot be executed:
+    /// no copies (`b = 0`), a timeout that is not finite and positive, or
+    /// an infeasible delayed pair.
+    pub fn new(strategy: StrategyParams) -> Self {
         TaskSession {
-            ctrl,
+            ctrl: EchelonCtrl::new(strategy),
             scope: 0,
             exec: SimDuration::ZERO,
             jobs: Vec::new(),
         }
+    }
+
+    /// Runs `strategy` from the next task on (a retune), keeping the
+    /// session's allocations. Panics like [`TaskSession::new`].
+    pub fn rebind(&mut self, strategy: StrategyParams) {
+        self.ctrl = EchelonCtrl::new(strategy);
     }
 
     /// Binds the session to a new task under the non-zero engine client
@@ -60,12 +70,12 @@ impl TaskSession {
     fn scoped(
         &mut self,
         sim: &mut GridSimulation,
-        f: impl FnOnce(&mut dyn StrategyController, &mut GridSimulation),
+        f: impl FnOnce(&mut EchelonCtrl, &mut GridSimulation),
     ) {
         let floor = sim.jobs().len();
         sim.set_scope(self.scope);
         sim.set_default_exec(self.exec);
-        f(self.ctrl.as_mut(), sim);
+        f(&mut self.ctrl, sim);
         sim.set_default_exec(SimDuration::ZERO);
         sim.set_scope(0);
         for (id, rec) in sim.jobs().iter().enumerate().skip(floor) {
@@ -142,8 +152,6 @@ impl Controller for TaskSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::StrategyParams;
-    use crate::strategy::Strategy;
     use gridstrat_sim::GridConfig;
 
     #[test]
@@ -154,13 +162,10 @@ mod tests {
         grid.wms.cancellation_delay_mean_s = 0.0;
         assert!(grid.background.is_some());
         let mut sim = GridSimulation::new(grid, 11).expect("valid grid");
-        let mut session = TaskSession::new(
-            StrategyParams::Multiple {
-                b: 3,
-                t_inf: 1500.0,
-            }
-            .build_controller(),
-        );
+        let mut session = TaskSession::new(StrategyParams::Multiple {
+            b: 3,
+            t_inf: 1500.0,
+        });
         for scope in 1..=20u64 {
             session.begin(scope, SimDuration::from_secs(120.0));
             sim.run_controller(&mut session);

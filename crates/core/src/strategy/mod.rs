@@ -10,16 +10,19 @@
 //! A strategy *instance* is a [`StrategyParams`] value: the plain-data
 //! description every sweep, fleet, adaptive and benchmark path carries. It
 //! is the one implementor of [`Strategy`], which computes `E_J`/`σ_J`/`N_//`
-//! by matching on the family and calling its closed forms, and builds the
-//! simulator controller realising the protocol. The three family types are
-//! field-less namespaces of those closed forms (`expectation`, `std_dev`,
-//! `optimize`, …) over any [`crate::latency::LatencyModel`]. The closed
-//! forms are exact (single/multiple) or multi-resolution (delayed) — see
-//! each module.
+//! by matching on the family and calling its closed forms. The three
+//! family types are field-less namespaces of those closed forms
+//! (`expectation`, `std_dev`, `optimize`, …) over any
+//! [`crate::latency::LatencyModel`]. The closed forms are exact
+//! (single/multiple) or multi-resolution (delayed) — see each module.
 //!
-//! Single resubmission is the `b = 1` case of multiple submission. Its
-//! closed forms stay separate (eqs. 1–2 need no powered integrals), but it
-//! runs on the same burst controller.
+//! Executed, every family is one client protocol
+//! ([`StrategyParams::echelon`]): submit `b` copies every `t0` and cancel
+//! each echelon `t∞` after it was submitted. Single resubmission is
+//! `b = 1, t0 = t∞`, multiple submission `t0 = t∞`, delayed resubmission
+//! `b = 1, t0 ≤ t∞ ≤ 2·t0`. One controller runs them all, behind
+//! [`crate::TaskSession`] and the Monte-Carlo executors. The closed forms
+//! stay per family (eqs. 1–2 need no powered integrals).
 
 pub mod delayed;
 pub mod distribution;
@@ -32,7 +35,6 @@ pub use multiple::MultipleSubmission;
 pub use single::SingleResubmission;
 
 use crate::cost::StrategyParams;
-use crate::executor::{BurstCtrl, DelayedCtrl, StrategyController};
 use crate::latency::LatencyModel;
 
 /// Outcome of a 1-D timeout optimization.
@@ -46,18 +48,13 @@ pub struct Timeout1d {
     pub std_dev: f64,
 }
 
-/// A parameterised client-side submission strategy.
-///
-/// Unifies the two faces every strategy has in the reproduction:
-///
-/// * the **analytic** side — closed-form moments of the total latency `J`
-///   and the paper's parallel-job count over any latency model
-///   ([`Strategy::expected_j`], [`Strategy::std_j`],
-///   [`Strategy::n_parallel`]);
-/// * the **executable** side — a [`gridstrat_sim::Controller`] that drives
-///   the discrete-event grid exactly as a user's wrapper script would
-///   ([`Strategy::build_controller`]), used by the Monte-Carlo executors to
-///   validate the closed forms.
+/// The analytic side of a parameterised client-side submission strategy:
+/// closed-form moments of the total latency `J` and the paper's
+/// parallel-job count over any latency model ([`Strategy::expected_j`],
+/// [`Strategy::std_j`], [`Strategy::n_parallel`]), and re-tuning
+/// ([`Strategy::tune`]). The executable side is the echelon protocol of
+/// [`StrategyParams::echelon`], run by [`crate::TaskSession`] and the
+/// Monte-Carlo executors.
 ///
 /// [`StrategyParams`] is the one implementor. The analytic methods are
 /// lenient: an instance that cannot complete (a timeout below the latency
@@ -86,12 +83,6 @@ pub trait Strategy: Send + Sync {
     fn n_parallel(&self, model: &dyn LatencyModel) -> f64 {
         self.n_parallel_for(self.expected_j(model))
     }
-
-    /// Builds the simulator controller that realises this strategy against
-    /// a [`gridstrat_sim::GridSimulation`]. Panics for instances whose
-    /// protocol cannot be executed: a timeout that is not finite and
-    /// positive, no copies (`b = 0`), or an infeasible delayed pair.
-    fn build_controller(&self) -> Box<dyn StrategyController>;
 
     /// Re-optimises the instance's *free* parameters on `model`, keeping
     /// structural ones (the collection size `b`, the copies-per-echelon
@@ -155,17 +146,6 @@ impl Strategy for StrategyParams {
         }
     }
 
-    fn build_controller(&self) -> Box<dyn StrategyController> {
-        match *self {
-            StrategyParams::Single { t_inf } => Box::new(BurstCtrl::new(1, t_inf)),
-            StrategyParams::Multiple { b, t_inf } => Box::new(BurstCtrl::new(b, t_inf)),
-            StrategyParams::Delayed { t0, t_inf } => Box::new(DelayedCtrl::new(1, t0, t_inf)),
-            StrategyParams::DelayedMultiple { b, t0, t_inf } => {
-                Box::new(DelayedCtrl::new(b, t0, t_inf))
-            }
-        }
-    }
-
     fn tune(&self, model: &dyn LatencyModel) -> Self {
         match *self {
             StrategyParams::Single { .. } => StrategyParams::Single {
@@ -197,8 +177,11 @@ impl Strategy for StrategyParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{MonteCarloConfig, StrategyExecutor};
     use crate::latency::ParametricModel;
+    use crate::TaskSession;
     use gridstrat_stats::{LogNormal, Shifted};
+    use gridstrat_workload::WeekModel;
 
     fn heavy_model() -> ParametricModel<Shifted<LogNormal>> {
         let body = Shifted::new(LogNormal::from_mean_std(360.0, 880.0).unwrap(), 150.0).unwrap();
@@ -258,25 +241,26 @@ mod tests {
     }
 
     // Executing an instance checks what the analytic side tolerates: each
-    // test first shows the closed forms stay lenient, then that the
-    // controller refuses the instance.
+    // test first shows the closed forms stay lenient, then that a task
+    // session (or the Monte-Carlo executor) refuses the instance.
 
     #[test]
     #[should_panic(expected = "timeout must be finite and positive")]
     fn single_with_a_zero_timeout_panics_when_executed() {
         let spec = StrategyParams::Single { t_inf: 0.0 };
         assert_eq!(spec.expected_j(&heavy_model()), f64::INFINITY);
-        spec.build_controller();
+        TaskSession::new(spec);
     }
 
     #[test]
     #[should_panic(expected = "timeout must be finite and positive")]
     fn multiple_with_an_infinite_timeout_panics_when_executed() {
-        StrategyParams::Multiple {
+        let week = WeekModel::calibrate("w", 500.0, 700.0, 0.1, 60.0, 1e4).unwrap();
+        let config = MonteCarloConfig { trials: 1, seed: 1 };
+        StrategyExecutor::new(week, config).run(StrategyParams::Multiple {
             b: 2,
             t_inf: f64::INFINITY,
-        }
-        .build_controller();
+        });
     }
 
     #[test]
@@ -284,7 +268,7 @@ mod tests {
     fn multiple_without_copies_panics_when_executed() {
         let spec = StrategyParams::Multiple { b: 0, t_inf: 800.0 };
         assert_eq!(spec.n_parallel_for(500.0), 0.0);
-        spec.build_controller();
+        TaskSession::new(spec);
     }
 
     #[test]
@@ -296,18 +280,18 @@ mod tests {
         };
         assert_eq!(spec.expected_j(&heavy_model()), f64::INFINITY);
         assert!(spec.n_parallel_for(500.0).is_nan());
-        spec.build_controller();
+        TaskSession::new(spec);
     }
 
     #[test]
-    #[should_panic(expected = "at least one copy")]
+    #[should_panic(expected = "at least one job")]
     fn delayed_multiple_without_copies_panics_when_executed() {
-        StrategyParams::DelayedMultiple {
+        let mut session = TaskSession::new(StrategyParams::Single { t_inf: 700.0 });
+        session.rebind(StrategyParams::DelayedMultiple {
             b: 0,
             t0: 400.0,
             t_inf: 560.0,
-        }
-        .build_controller();
+        });
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use gridstrat_core::adaptive::AdaptiveConfig;
 use gridstrat_core::cost::StrategyParams;
-use gridstrat_core::strategy::Strategy;
 use gridstrat_core::TaskSession;
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::{StreamingEcdf, Summary};
@@ -92,7 +91,7 @@ pub fn user_stream_seed(fleet_seed: u64, user: usize) -> u64 {
     derive_seed(fleet_seed, user as u64)
 }
 
-/// One member of the community: a strategy-built controller in a task
+/// One member of the community: its strategy's controller in a task
 /// session, the user's arrival RNG, and per-task progress bookkeeping.
 pub(crate) struct UserAgent {
     pub(crate) assignment: Assignment,
@@ -133,22 +132,19 @@ impl UserAgent {
             active: false,
             tasks_done: 0,
             task_started_s: 0.0,
-            session: TaskSession::new(assignment.strategy.build_controller()),
+            session: TaskSession::new(assignment.strategy),
             latency: Summary::new(),
             estimator,
         }
     }
 
     /// Rewinds the agent to its just-constructed state (bit-identically),
-    /// keeping allocations. The session rewinds the controller itself at
-    /// every launch.
+    /// keeping allocations: the session is rebound to the initial instance
+    /// (an adaptive run may have moved it) and rewinds the controller
+    /// itself at every launch.
     pub(crate) fn reset(&mut self, index: usize, fleet_seed: u64) {
-        if self.params != self.assignment.strategy {
-            // an adaptive run moved the parameters: rebuild the controller
-            // for the initial instance (plain users keep theirs)
-            self.params = self.assignment.strategy;
-            self.session = TaskSession::new(self.assignment.strategy.build_controller());
-        }
+        self.params = self.assignment.strategy;
+        self.session.rebind(self.params);
         self.rng = StdRng::seed_from_u64(user_stream_seed(fleet_seed, index));
         self.active = false;
         self.tasks_done = 0;

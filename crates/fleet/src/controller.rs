@@ -1,9 +1,9 @@
 //! The fleet controller: multiplexes a whole community of user agents onto
 //! one shared [`GridSimulation`].
 //!
-//! Every agent wraps an ordinary strategy-built
-//! [`StrategyController`](gridstrat_core::executor::StrategyController) —
-//! the *same* controllers the single-user Monte-Carlo executors run — and
+//! Every agent runs its strategy in a
+//! [`TaskSession`](gridstrat_core::TaskSession) — the *same*
+//! echelon controller the single-user Monte-Carlo executors run — and
 //! the fleet routes engine notifications to the right agent using the
 //! engine's client-scope hooks:
 //!
@@ -13,7 +13,7 @@
 //!   active when the timer was armed, so two users' (or two tasks')
 //!   identical raw tokens can never collide;
 //! * the scope encodes `(user, task-epoch)`, and each agent's
-//!   [`TaskSession`] drops whatever is not
+//!   task session drops whatever is not
 //!   about its current task, so a stale timer or a redundant copy
 //!   surviving from an already-completed task is silently dropped instead
 //!   of corrupting the next task's protocol state.
@@ -21,9 +21,6 @@
 use crate::agent::{ArrivalProcess, Assignment, UserAgent};
 use crate::metrics::{FleetRun, GroupStream, UserOutcome};
 use crate::mix::MAX_USERS;
-use gridstrat_core::cost::StrategyParams;
-use gridstrat_core::strategy::Strategy;
-use gridstrat_core::TaskSession;
 use gridstrat_sim::job::JobOrigin;
 use gridstrat_sim::{Controller, GridSimulation, JobId, Notification, SimDuration};
 
@@ -70,9 +67,6 @@ pub struct FleetController {
     /// Per-group streaming latency metrics, indexed by group id (`None`
     /// for groups the apportionment left without members).
     groups: Vec<Option<GroupStream>>,
-    /// Expected client submissions over the whole run — the engine
-    /// job-table pre-reservation hint.
-    job_hint: usize,
     /// Bound on the community's pending events — the engine event-heap
     /// pre-reservation hint.
     event_hint: usize,
@@ -91,17 +85,6 @@ fn mark_winner(bits: &mut Vec<u64>, id: JobId) {
 fn is_winner(bits: &[u64], id: JobId) -> bool {
     let (word, bit) = ((id.0 / 64) as usize, id.0 % 64);
     bits.get(word).is_some_and(|w| w >> bit & 1 == 1)
-}
-
-/// How many jobs one task of this strategy can have in flight — the
-/// per-task factor of the submission-count hint.
-fn burst_width(params: StrategyParams) -> usize {
-    match params {
-        StrategyParams::Single { .. } => 1,
-        StrategyParams::Multiple { b, .. } => b as usize,
-        StrategyParams::Delayed { .. } => 2,
-        StrategyParams::DelayedMultiple { b, .. } => 2 * b as usize,
-    }
 }
 
 impl FleetController {
@@ -133,13 +116,15 @@ impl FleetController {
         assert!(group_window > 0, "group window must be positive");
         let n_groups = assignments.iter().map(|a| a.group + 1).max().unwrap_or(0);
         let mut groups: Vec<Option<GroupStream>> = vec![None; n_groups];
-        let (mut job_hint, mut event_hint) = (0usize, 0usize);
+        let mut event_hint = 0usize;
         for a in assignments {
             groups[a.group]
                 .get_or_insert_with(|| GroupStream::new(a.group, a.strategy, 0, group_window))
                 .members += 1;
-            job_hint += tasks_per_user * burst_width(a.strategy);
-            event_hint += burst_width(a.strategy) + 1;
+            // a task has one echelon of b jobs in flight, two when t0 < t∞
+            let (b, t0, t_inf) = a.strategy.echelon();
+            let in_flight = if t0 < t_inf { 2 * b } else { b };
+            event_hint += in_flight as usize + 1;
         }
         FleetController {
             agents: assignments
@@ -153,7 +138,6 @@ impl FleetController {
             arrival,
             winner_bits: Vec::new(),
             groups,
-            job_hint,
             event_hint,
         }
     }
@@ -241,7 +225,7 @@ impl FleetController {
                 let next = gridstrat_core::adaptive::retune_params(agent.params, est, &cfg);
                 if next != agent.params {
                     agent.params = next;
-                    agent.session = TaskSession::new(next.build_controller());
+                    agent.session.rebind(next);
                 }
             }
         }
@@ -318,12 +302,11 @@ impl FleetController {
 
 impl Controller for FleetController {
     fn start(&mut self, sim: &mut GridSimulation) {
-        // pre-reserve the engine's job table for the whole community's
-        // expected submissions, and its event heap for what can be pending
-        // at once: one event per in-flight job of a user's burst plus its
+        // pre-reserve the engine's event heap for what can be pending at
+        // once: one event per in-flight job of a user's echelons plus its
         // timer (arrival or timeout). The heap holds pending events only,
         // so its peak depth tracks users, not the run's total traffic
-        sim.reserve(self.job_hint, self.event_hint);
+        sim.reserve(self.event_hint);
         for user in 0..self.agents.len() {
             let d = self.arrival.initial_delay(&mut self.agents[user].rng);
             self.arm_arrival(sim, user, d);
@@ -367,6 +350,8 @@ mod tests {
     use super::*;
     use crate::mix::FleetConfig;
     use gridstrat_core::adaptive::{AdaptiveConfig, RetunePolicy};
+    use gridstrat_core::cost::StrategyParams;
+    use gridstrat_core::TaskSession;
     use gridstrat_stats::StreamingEcdf;
     use std::cell::Cell;
 

@@ -11,12 +11,11 @@
 //! multiplexing a *population* of users onto one shared pipeline-mode
 //! [`gridstrat_sim::GridSimulation`]:
 //!
-//! * [`FleetController`] — wraps one
-//!   [`StrategyController`](gridstrat_core::executor::StrategyController)
-//!   per user (built through
-//!   [`Strategy::build_controller`](gridstrat_core::strategy::Strategy::build_controller),
-//!   so every strategy family works unmodified) and routes engine events
-//!   by owner tag and scope-namespaced timer tokens;
+//! * [`FleetController`] — runs one
+//!   [`TaskSession`](gridstrat_core::TaskSession) per user (the echelon
+//!   controller the Monte-Carlo executors run, so every strategy family
+//!   works unmodified) and routes engine events by owner tag and
+//!   scope-namespaced timer tokens;
 //! * [`StrategyMix`] / [`FleetConfig`] — heterogeneous populations:
 //!   fractions of single / multiple / delayed users with their own
 //!   parameters, community size, tasks per user, task execution time and

@@ -81,7 +81,11 @@ impl GroupStream {
 
     /// Folds another shard's stream of the *same* group into this one:
     /// membership adds up, moments merge exactly, and the other window is
-    /// replayed in order (deterministic for a fixed shard order).
+    /// replayed in order (deterministic for a fixed shard order). The
+    /// merged window keeps only the last `group_window` latencies of that
+    /// replay, so once one part fills its window, the merged window is
+    /// that part's tail alone and its quantiles describe it, not the
+    /// merged run.
     pub fn merge(&mut self, other: &GroupStream) {
         debug_assert_eq!(self.group, other.group, "merging different groups");
         self.members += other.members;
@@ -236,8 +240,11 @@ impl GroupReport {
     }
 
     /// The `p`-quantile of the group's windowed task latencies (`NaN`
-    /// when the window is empty). Exact over the window, an approximation
-    /// of the full-run quantile when the run outgrew the window.
+    /// when the window is empty). Exact over the window, which holds the
+    /// last `group_window` latencies in replay order (shards, then
+    /// replications). Once the run outgrew the window this is the
+    /// quantile of the last shard's or replication's tail only, not of
+    /// the full run, and it can move with the shard count.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile p must be in [0,1]");
         let Ok(snap) = self.window.snapshot() else {

@@ -444,3 +444,57 @@ fn done_flips_exactly_when_the_last_user_finishes() {
         assert_eq!(fleet.tasks_completed(), total_tasks);
     }
 }
+
+#[test]
+fn delayed_at_t0_equal_t_inf_is_the_burst_protocol_in_a_fleet() {
+    // the farm cancels with a delay, so a cancelled job can still start;
+    // delayed resubmission at t0 = t∞ is the burst of its copies and must
+    // replay the burst's community history to the bit, those starts included
+    let cfg = test_config();
+    let run = |strategy: StrategyParams| {
+        // three users per slot: queue waits outlast t∞
+        let mix = StrategyMix::pure("pair", strategy);
+        let out = gridstrat_fleet::run_cell(&cfg, &mix, 36, &GridScenario::baseline());
+        let groups: Vec<String> = out
+            .groups
+            .iter()
+            .map(|g| {
+                let q = [g.quantile(0.5), g.quantile(0.95)];
+                format!("{} {} {:?} {q:?}", g.users, g.tasks_completed, g.latency)
+            })
+            .collect();
+        let totals = (
+            out.mean_latency,
+            out.fairness,
+            out.slot_waste,
+            out.utilization,
+        );
+        let counts = (out.makespan_s, out.tasks_completed, out.submissions);
+        (format!("{groups:?} {totals:?} {counts:?}"), out)
+    };
+    for (burst, delayed) in [
+        (
+            StrategyParams::Single { t_inf: 400.0 },
+            StrategyParams::Delayed {
+                t0: 400.0,
+                t_inf: 400.0,
+            },
+        ),
+        (
+            StrategyParams::Multiple { b: 2, t_inf: 400.0 },
+            StrategyParams::DelayedMultiple {
+                b: 2,
+                t0: 400.0,
+                t_inf: 400.0,
+            },
+        ),
+    ] {
+        let ((want, out), (got, _)) = (run(burst), run(delayed));
+        assert_eq!(want, got, "{burst:?} vs {delayed:?}");
+        assert!(
+            out.submissions > out.tasks_completed as u64 * u64::from(burst.echelon().0),
+            "{burst:?}: no echelon was ever resubmitted"
+        );
+        assert!(out.wasted_starts > 0, "{burst:?}: no cancelled job started");
+    }
+}

@@ -84,6 +84,9 @@ pub struct EngineStats {
     pub client_started: u64,
     /// Client jobs cancelled before starting.
     pub client_cancelled: u64,
+    /// Cancel requests issued for pending client jobs; a job asked twice
+    /// while its first request is in flight counts twice.
+    pub client_cancel_requests: u64,
     /// Client jobs that failed visibly.
     pub client_failed: u64,
     /// Client jobs silently lost (outliers).
@@ -292,6 +295,7 @@ impl GridSimulation {
         if !(state.is_pending() || state == JobState::Stuck) {
             return false;
         }
+        self.stats.client_cancel_requests += 1;
         if self.cfg.wms.cancellation_delay_mean_s > 0.0 {
             let d = self.exp_delay(self.cfg.wms.cancellation_delay_mean_s);
             self.queue
@@ -316,13 +320,11 @@ impl GridSimulation {
         }
     }
 
-    /// Pre-reserves capacity for `jobs` additional job records and
-    /// `events` additional pending events, so a controller that knows its
-    /// workload up front (a community fleet) never grows those structures
-    /// on the hot path. Purely an allocator
-    /// hint: the simulated history is unaffected.
-    pub fn reserve(&mut self, jobs: usize, events: usize) {
-        self.jobs.reserve(jobs);
+    /// Pre-reserves capacity for `events` additional pending events, so a
+    /// controller that knows how many events it can have pending at once
+    /// (a community fleet) never grows the event heap on the hot path.
+    /// Purely an allocator hint: the simulated history is unaffected.
+    pub fn reserve(&mut self, events: usize) {
         self.queue.reserve(events);
     }
 
@@ -1298,6 +1300,11 @@ mod tests {
         sim.run_controller(&mut ctrl);
         assert!(!ctrl.started, "cancelled job must never start");
         assert_eq!(sim.stats().client_cancelled, 1);
+        assert_eq!(
+            sim.stats().client_cancel_requests,
+            1,
+            "a refused request is not counted"
+        );
         assert_eq!(sim.stats().client_started, 0);
     }
 
@@ -1336,6 +1343,7 @@ mod tests {
         sim.run_controller(&mut ctrl);
         assert!(ctrl.started, "job should start before the cancel lands");
         assert_eq!(sim.stats().client_cancelled, 0);
+        assert_eq!(sim.stats().client_cancel_requests, 1);
     }
 
     #[test]

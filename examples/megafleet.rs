@@ -43,6 +43,7 @@ fn main() {
     cfg.replications = 1;
     cfg.seed = 0x5CA1E;
     cfg.group_window = 8_192;
+    let window = cfg.group_window;
 
     let mix = StrategyMix::new(
         "mostly-single",
@@ -98,7 +99,7 @@ fn main() {
         cell.wasted_starts,
     );
 
-    println!("per-strategy view (windowed quantiles over the last 8 192 tasks/group):");
+    println!("per-strategy view (mean over every task; p50/p95 over a window, see below):");
     for g in &cell.groups {
         println!(
             "  group {}: {:<38} users {:>6}  mean {:>6.0}s  p50 {:>6.0}s  p95 {:>6.0}s",
@@ -110,6 +111,11 @@ fn main() {
             g.quantile(0.95),
         );
     }
+    println!(
+        "  caveat: p50/p95 read the merged window, the last {window} latencies of the\n  \
+         shards replayed in order; a group with more tasks per shard than that\n  \
+         reports the tail of the last shard only, not the whole community"
+    );
 
     // the sharded runs are deterministic: same seed, same history, to the
     // bit — the property every recorded community experiment relies on

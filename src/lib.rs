@@ -60,7 +60,7 @@ pub mod prelude {
     };
     pub use gridstrat_core::executor::{
         GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome, ScenarioSweep,
-        StrategyController, StrategyExecutor,
+        StrategyExecutor,
     };
     pub use gridstrat_core::latency::{EmpiricalModel, LatencyModel, ParametricModel};
     pub use gridstrat_core::report::Table;
