@@ -1,9 +1,11 @@
 //! Golden outputs: a behaviour oracle across commits.
 //!
-//! Small cells — one `ScenarioSweep` cell, one think-time `FleetSweep`
-//! cell, one 2-shard `ShardedFleet` cell, one `Multiple { b: 2 }`
-//! `AdaptiveSweep` cell, and the values behind paper Tables 1–4 and the
-//! Figure 5 minimum at the `repro` master seed — are evaluated and
+//! Small cells — one `ScenarioSweep` cell, two think-time `FleetSweep`
+//! cells (two families, and all four), one 2-shard `ShardedFleet` cell,
+//! one `Multiple { b: 2 }` `AdaptiveSweep` cell, the four families through
+//! `StrategyExecutor` and through fixed and adaptive task sequences on a
+//! grid with a slow cancellation, and the values behind paper Tables 1–4
+//! and the Figure 5 minimum at the `repro` master seed — are evaluated and
 //! compared, value by value and to the bit, against canonical sorted-key
 //! JSON committed under `replication/expected/`. The files store the
 //! values themselves (f64 in Rust's shortest round-trip form), so a diff
@@ -19,6 +21,7 @@ use gridstrat::prelude::*;
 use gridstrat::stats::Summary;
 use gridstrat::workload::json::{escape, JsonValue};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 // --- canonical JSON ------------------------------------------------------------
 
@@ -361,6 +364,147 @@ fn adaptive_sweep_multiple_cell_matches_golden() {
             ("retunes", count(cell.retunes)),
         ]),
     );
+}
+
+/// The four strategy families on the slow-cancellation grid, with `t∞`
+/// near the pipeline's latency body so every family resubmits.
+fn slow_cancel_families() -> [StrategyParams; 4] {
+    [
+        StrategyParams::Single { t_inf: 90.0 },
+        StrategyParams::Multiple { b: 2, t_inf: 90.0 },
+        StrategyParams::Delayed {
+            t0: 60.0,
+            t_inf: 90.0,
+        },
+        StrategyParams::DelayedMultiple {
+            b: 2,
+            t0: 60.0,
+            t_inf: 90.0,
+        },
+    ]
+}
+
+/// One site, no background load, no faults, and a 2,000 s mean
+/// cancellation delay far above the pipeline's hop delays: a cancel
+/// request usually lands long after its job could have started, so the
+/// outputs see how many requests each abandoned job gets and when.
+fn slow_cancel_grid() -> Arc<GridConfig> {
+    let mut grid = GridConfig::pipeline_default();
+    grid.sites.truncate(1);
+    grid.background = None;
+    grid.faults.p_silent_loss = 0.0;
+    grid.faults.p_transient_failure = 0.0;
+    grid.wms.cancellation_delay_mean_s = 2_000.0;
+    Arc::new(grid)
+}
+
+fn sequence_outcome(out: &SequenceOutcome) -> JsonValue {
+    obj([
+        ("final_params", params(out.final_params)),
+        ("mean_latency", num(out.mean_latency())),
+        ("retunes", count(out.retunes)),
+        ("submissions", count(out.submissions)),
+        ("tasks", count(out.tasks.len())),
+    ])
+}
+
+#[test]
+fn executor_slow_cancel_cell_matches_golden() {
+    let ex = StrategyExecutor::from_grid(
+        slow_cancel_grid(),
+        MonteCarloConfig {
+            trials: 2_000,
+            seed: 0x601D,
+        },
+    );
+    let rows = slow_cancel_families()
+        .into_iter()
+        .map(|spec| {
+            let e = ex.run(spec);
+            obj([
+                ("completed_trials", count(e.completed_trials)),
+                ("mean_j", num(e.mean_j)),
+                ("mean_parallel", num(e.mean_parallel)),
+                ("mean_submissions", num(e.mean_submissions)),
+                ("params", params(spec)),
+                ("std_j", num(e.std_j)),
+                ("stderr_j", num(e.stderr_j)),
+            ])
+        })
+        .collect();
+    check_golden("executor_slow_cancel", JsonValue::Array(rows));
+}
+
+#[test]
+fn sequence_slow_cancel_cell_matches_golden() {
+    // back-to-back tasks on one engine: a task's abandoned jobs are still
+    // waiting for their cancellation when the next task starts
+    let grid = slow_cancel_grid();
+    let fixed = slow_cancel_families()
+        .iter()
+        .map(|spec| sequence_outcome(&run_fixed_sequence(&grid, spec, 40, 5)))
+        .collect();
+    let config = AdaptiveConfig {
+        retune_every: 5,
+        window: 100,
+        decay: 0.9,
+        min_body: 10,
+        policy: RetunePolicy::EmpiricalBackoff {
+            max_censored_fraction: 0.3,
+            growth: 1.5,
+        },
+    };
+    let adaptive = run_adaptive_sequence(
+        &grid,
+        StrategyParams::Delayed {
+            t0: 60.0,
+            t_inf: 90.0,
+        },
+        &config,
+        None,
+        40,
+        5,
+    );
+    assert!(adaptive.retunes > 0, "the adaptive run never retuned");
+    check_golden(
+        "sequence_slow_cancel",
+        obj([
+            ("adaptive", sequence_outcome(&adaptive)),
+            ("fixed", JsonValue::Array(fixed)),
+        ]),
+    );
+}
+
+#[test]
+fn fleet_four_family_cell_matches_golden() {
+    // the farm cancels with a 60 s mean delay; t∞ near the latency body
+    // makes every family resubmit and abandon copies
+    let mix = StrategyMix::new(
+        "four-families",
+        [
+            StrategyParams::Single { t_inf: 300.0 },
+            StrategyParams::Multiple { b: 2, t_inf: 300.0 },
+            StrategyParams::Delayed {
+                t0: 200.0,
+                t_inf: 300.0,
+            },
+            StrategyParams::DelayedMultiple {
+                b: 2,
+                t0: 200.0,
+                t_inf: 300.0,
+            },
+        ]
+        .into_iter()
+        .map(|spec| StrategyGroup::new(spec, 0.25))
+        .collect(),
+    );
+    let mut cfg = FleetConfig::small_farm(10);
+    cfg.tasks_per_user = 3;
+    cfg.arrival = ArrivalProcess::ThinkTime { mean_s: 900.0 };
+    cfg.replications = 3;
+    cfg.seed = 0x601D;
+    let out = FleetSweep::new(cfg, vec![mix], vec![16], vec![GridScenario::baseline()]).run();
+    check_golden("fleet_four_families", fleet_cell(&out[0]));
 }
 
 #[test]
