@@ -556,9 +556,6 @@ fn run_sequence(
         if let Some(state) = adapt.as_mut() {
             state.tracker.observe_task(latency);
         }
-        // leftovers of a finished task must not haunt later tasks
-        session.cancel_pending(&mut sim);
-
         if let Some(state) = adapt.as_mut() {
             session.harvest(&sim, timeout_of(params), &mut state.estimator);
             if (task + 1).is_multiple_of(state.config.retune_every) && task + 1 < n_tasks {

@@ -133,20 +133,11 @@ impl TrialWorker {
         sim.run_controller(&mut self.ctrl);
         let j = self.ctrl.total_latency()?;
 
-        // cancel everything still pending so bookkeeping below sees a
-        // terminal time for every job (index loop: no scratch vector, and
-        // cancelling one job never flips another job's pending state)
-        for idx in 0..sim.jobs().len() {
-            let rec = &sim.jobs()[idx];
-            if !rec.state().is_terminal() && rec.started_at().is_none() {
-                sim.cancel(JobId(idx as u64));
-            }
-        }
-
         let submissions = sim.stats().client_submitted as f64;
         // time-integral of the number of in-system jobs over [0, J]:
         // a job is "in the system" from submission until it starts, is
-        // cancelled, or the task completes at J
+        // cancelled, or the task completes at J (a loser whose cancel
+        // request is still in flight at J)
         let mut integral = 0.0;
         for rec in sim.jobs() {
             let s = rec.submitted_at().as_secs();
@@ -899,32 +890,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_start_from_a_cancelled_echelon_never_completes_the_task() {
-        // One site, no background, no faults and a cancellation delay far
-        // above the pipeline's hop delays: a cancelled job usually reaches
-        // its slot before its cancellation does. Such a start must not
-        // complete the task, and no job may be asked to cancel twice, so
-        // every job but the winner gets exactly one request.
+    /// One site, no background, no faults and a cancellation delay far
+    /// above the pipeline's hop delays: a cancelled job usually reaches its
+    /// slot before its cancellation does, and a second request for a job
+    /// would draw a second delay.
+    fn slow_cancel_grid() -> GridConfig {
         let mut grid = GridConfig::pipeline_default();
         grid.sites.truncate(1);
         grid.background = None;
         grid.faults.p_silent_loss = 0.0;
         grid.faults.p_transient_failure = 0.0;
         grid.wms.cancellation_delay_mean_s = 2_000.0;
-        for spec in [
-            StrategyParams::Single { t_inf: 90.0 },
-            StrategyParams::Multiple { b: 2, t_inf: 90.0 },
-            StrategyParams::Delayed {
-                t0: 60.0,
-                t_inf: 90.0,
-            },
-            StrategyParams::DelayedMultiple {
-                b: 2,
-                t0: 60.0,
-                t_inf: 90.0,
-            },
-        ] {
+        grid
+    }
+
+    /// The four families with `t∞` near the pipeline's latency body, so
+    /// every family resubmits on [`slow_cancel_grid`].
+    const SLOW_CANCEL_FAMILIES: [StrategyParams; 4] = [
+        StrategyParams::Single { t_inf: 90.0 },
+        StrategyParams::Multiple { b: 2, t_inf: 90.0 },
+        StrategyParams::Delayed {
+            t0: 60.0,
+            t_inf: 90.0,
+        },
+        StrategyParams::DelayedMultiple {
+            b: 2,
+            t0: 60.0,
+            t_inf: 90.0,
+        },
+    ];
+
+    #[test]
+    fn a_start_from_a_cancelled_echelon_never_completes_the_task() {
+        // A cancelled job that starts before its cancellation lands must
+        // not complete the task, and no job may be asked to cancel twice,
+        // so every job but the winner gets exactly one request.
+        let grid = slow_cancel_grid();
+        for spec in SLOW_CANCEL_FAMILIES {
             let t_inf = crate::adaptive::timeout_of(spec);
             let mut sim = GridSimulation::new(grid.clone(), 5).expect("valid grid");
             let mut session = crate::TaskSession::new(spec);
@@ -966,6 +968,43 @@ mod tests {
             assert!(
                 late_starts > 0,
                 "{spec:?}: no cancelled job started before its task completed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_trial_asks_every_job_but_the_winner_to_cancel_once() {
+        // the Monte-Carlo lane: the controller's requests are the only
+        // ones, so a loser whose request is still in flight at J is not
+        // asked again
+        let grid = Arc::new(slow_cancel_grid());
+        for spec in SLOW_CANCEL_FAMILIES {
+            let plan = TrialCell {
+                grid: Arc::clone(&grid),
+                strategy: spec,
+                seed: 5,
+            };
+            let mut slot = None;
+            let mut in_flight_at_j = 0;
+            for t in 0..200 {
+                let worker = TrialWorker::obtain(&mut slot, 0, &plan, derive_seed(plan.seed, t));
+                worker.run().expect("the trial completes");
+                let stats = worker.sim.stats();
+                assert_eq!(
+                    stats.client_cancel_requests,
+                    stats.client_submitted - 1,
+                    "{spec:?}, trial {t}: every job but the winner is asked once"
+                );
+                in_flight_at_j += worker
+                    .sim
+                    .jobs()
+                    .iter()
+                    .filter(|rec| rec.terminated_at().is_none() && rec.started_at().is_none())
+                    .count();
+            }
+            assert!(
+                in_flight_at_j > 0,
+                "{spec:?}: no loser was still pending at J"
             );
         }
     }

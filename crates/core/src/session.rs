@@ -10,9 +10,9 @@ use gridstrat_stats::StreamingEcdf;
 /// A strategy's controller bound to one task's engine client scope and
 /// default execution time. It drops notifications of other scopes (stale
 /// echoes, other users' jobs) and records the [`JobId`]s the task
-/// submitted, so harvesting its observations or cancelling its leftovers
-/// costs O(own jobs). Reused from task to task ([`TaskSession::begin`]);
-/// as a [`Controller`] it rewinds the wrapped controller on `start`.
+/// submitted, so harvesting its observations costs O(own jobs). Reused
+/// from task to task ([`TaskSession::begin`]); as a [`Controller`] it
+/// rewinds the wrapped controller on `start`.
 pub struct TaskSession {
     ctrl: EchelonCtrl,
     scope: u64,
@@ -104,17 +104,6 @@ impl TaskSession {
             }
         }
     }
-
-    /// Cancels the task's jobs that have not started and are still live,
-    /// so they do not haunt later tasks.
-    pub fn cancel_pending(&self, sim: &mut GridSimulation) {
-        for &id in &self.jobs {
-            let rec = sim.job(id);
-            if !rec.state().is_terminal() && rec.started_at().is_none() {
-                sim.cancel(id);
-            }
-        }
-    }
 }
 
 impl Controller for TaskSession {
@@ -155,9 +144,10 @@ mod tests {
     use gridstrat_sim::GridConfig;
 
     #[test]
-    fn own_jobs_match_a_full_scan_and_leftovers_are_cancelled() {
+    fn own_jobs_match_a_full_scan_and_the_controller_leaves_none_pending() {
         // background traffic interleaves foreign jobs with the task's own;
-        // cancellations apply at once, so no own job may be left pending
+        // cancellations apply at once, so the controller's own requests
+        // leave no own job pending when its task completes
         let mut grid = GridConfig::pipeline_default();
         grid.wms.cancellation_delay_mean_s = 0.0;
         assert!(grid.background.is_some());
@@ -170,7 +160,6 @@ mod tests {
             session.begin(scope, SimDuration::from_secs(120.0));
             sim.run_controller(&mut session);
             assert!(session.total_latency().is_some(), "task {scope} finished");
-            session.cancel_pending(&mut sim);
             let full_scan: Vec<JobId> = sim
                 .jobs()
                 .iter()

@@ -10,7 +10,7 @@ use gridstrat_fleet::{
     ArrivalProcess, BestResponseSearch, FleetConfig, FleetController, FleetSweep, StrategyGroup,
     StrategyMix,
 };
-use gridstrat_sim::{Controller, GridSimulation, Notification};
+use gridstrat_sim::{Controller, GridConfig, GridSimulation, Notification};
 
 fn test_config() -> FleetConfig {
     let mut cfg = FleetConfig::small_farm(12);
@@ -497,4 +497,60 @@ fn delayed_at_t0_equal_t_inf_is_the_burst_protocol_in_a_fleet() {
         );
         assert!(out.wasted_starts > 0, "{burst:?}: no cancelled job started");
     }
+}
+
+#[test]
+fn a_fleet_asks_every_job_but_a_winner_to_cancel_once() {
+    // the core executor's slow-cancellation grid: one site, no background,
+    // no faults and a 2,000 s mean cancellation delay, so a second request
+    // for a job still pending would draw a second delay; the echelon
+    // controllers' requests must be the only ones
+    let mut grid = GridConfig::pipeline_default();
+    grid.sites.truncate(1);
+    grid.background = None;
+    grid.faults.p_silent_loss = 0.0;
+    grid.faults.p_transient_failure = 0.0;
+    grid.wms.cancellation_delay_mean_s = 2_000.0;
+    let mix = StrategyMix::new(
+        "four-families",
+        [
+            StrategyParams::Single { t_inf: 90.0 },
+            StrategyParams::Multiple { b: 2, t_inf: 90.0 },
+            StrategyParams::Delayed {
+                t0: 60.0,
+                t_inf: 90.0,
+            },
+            StrategyParams::DelayedMultiple {
+                b: 2,
+                t0: 60.0,
+                t_inf: 90.0,
+            },
+        ]
+        .into_iter()
+        .map(|strategy| StrategyGroup::new(strategy, 1.0))
+        .collect(),
+    );
+    let users = 8;
+    let tasks_per_user = 5;
+    let mut fleet = FleetController::new(
+        &mix.assignments(users),
+        tasks_per_user,
+        60.0,
+        ArrivalProcess::ThinkTime { mean_s: 300.0 },
+        0x601D,
+        64,
+    );
+    let mut sim = GridSimulation::new(grid, 5).expect("valid grid");
+    sim.run_controller(&mut fleet);
+    assert_eq!(fleet.tasks_completed(), users * tasks_per_user);
+    let stats = sim.stats();
+    assert!(
+        stats.client_submitted > 2 * fleet.tasks_completed() as u64,
+        "too few resubmissions to exercise cancellation"
+    );
+    assert_eq!(
+        stats.client_cancel_requests,
+        stats.client_submitted - fleet.tasks_completed() as u64,
+        "every job but a task's winner is asked once"
+    );
 }

@@ -85,7 +85,8 @@ pub struct EngineStats {
     /// Client jobs cancelled before starting.
     pub client_cancelled: u64,
     /// Cancel requests issued for pending client jobs; a job asked twice
-    /// while its first request is in flight counts twice.
+    /// while its first request is in flight counts twice (and draws a
+    /// second delay), so a client asks once per job.
     pub client_cancel_requests: u64,
     /// Client jobs that failed visibly.
     pub client_failed: u64,
@@ -261,11 +262,6 @@ impl GridSimulation {
         self.default_exec = exec;
     }
 
-    /// The execution time currently applied by [`GridSimulation::submit`].
-    pub fn default_exec(&self) -> SimDuration {
-        self.default_exec
-    }
-
     /// Submits a client job that holds its slot for the default execution
     /// time once started (zero unless overridden via
     /// [`GridSimulation::set_default_exec`] — i.e. a probe).
@@ -290,6 +286,10 @@ impl GridSimulation {
     /// immediately; with a positive delay the request travels through the
     /// middleware first, and the job may *still start* in the meantime —
     /// the realistic failure mode of burst-cancellation on EGEE.
+    ///
+    /// The engine keeps no record of requests in flight: asking again for
+    /// a job still pending draws another delay, and the earliest request
+    /// lands, which shortens the modelled delay. Callers ask once per job.
     pub fn cancel(&mut self, id: JobId) -> bool {
         let state = self.jobs[id.0 as usize].state();
         if !(state.is_pending() || state == JobState::Stuck) {
@@ -1257,7 +1257,8 @@ mod tests {
         sim.set_scope(4);
         sim.reset(13);
         assert_eq!(sim.scope(), 0);
-        assert_eq!(sim.default_exec(), SimDuration::ZERO);
+        let probe = sim.submit();
+        assert_eq!(sim.job(probe).exec(), SimDuration::ZERO);
     }
 
     #[test]

@@ -201,8 +201,13 @@ fn background_load_never_blocks_termination() {
 
 #[test]
 fn cancel_is_idempotent_and_final() {
+    // two requests for one job: under a zero delay the first removes it
+    // and the second is refused; under a positive delay both travel, and
+    // whichever of the two landings and the start comes first, the job is
+    // cancelled at most once and never both cancelled and started
     struct CancelTwice {
         outcome: Option<(bool, bool)>,
+        started: bool,
         done: bool,
     }
     impl Controller for CancelTwice {
@@ -215,9 +220,7 @@ fn cancel_is_idempotent_and_final() {
         }
         fn on_event(&mut self, _sim: &mut GridSimulation, ev: Notification) {
             match ev {
-                Notification::JobStarted { .. } => {
-                    panic!("cancelled job must not start under zero cancel delay")
-                }
+                Notification::JobStarted { .. } => self.started = true,
                 Notification::Timer { .. } => self.done = true,
                 _ => {}
             }
@@ -226,18 +229,55 @@ fn cancel_is_idempotent_and_final() {
             self.done
         }
     }
-
-    let mut rng = derived_rng(0x51D, 6);
-    for case in 0..CASES {
-        let seed = rng.gen_range(0..300u64);
+    let run = |cancellation_delay_mean_s: f64, seed: u64| {
         let model = WeekModel::calibrate("p", 400.0, 300.0, 0.0, 50.0, 10_000.0).unwrap();
-        let mut sim = GridSimulation::new(GridConfig::oracle(model), seed).unwrap();
+        let mut cfg = GridConfig::oracle(model);
+        cfg.wms.cancellation_delay_mean_s = cancellation_delay_mean_s;
+        let mut sim = GridSimulation::new(cfg, seed).unwrap();
         let mut ctrl = CancelTwice {
             outcome: None,
+            started: false,
             done: false,
         };
         sim.run_controller(&mut ctrl);
+        (sim, ctrl)
+    };
+
+    let mut rng = derived_rng(0x51D, 6);
+    for case in 0..CASES {
+        let (sim, ctrl) = run(0.0, rng.gen_range(0..300u64));
         assert_eq!(ctrl.outcome, Some((true, false)), "case {case}");
+        assert!(!ctrl.started, "case {case}: a cancelled job started");
         assert_eq!(sim.stats().client_cancelled, 1, "case {case}");
     }
+
+    let mut rng = derived_rng(0x51D, 7);
+    let (mut cancelled, mut started) = (0, 0);
+    for case in 0..CASES {
+        let delay = rng.gen_range(50.0..800.0);
+        let (sim, ctrl) = run(delay, rng.gen_range(0..300u64));
+        let stats = sim.stats();
+        assert_eq!(ctrl.outcome, Some((true, true)), "delayed case {case}");
+        assert_eq!(stats.client_cancel_requests, 2, "delayed case {case}");
+        assert!(stats.client_cancelled <= 1, "delayed case {case}");
+        let rec = &sim.jobs()[0];
+        if rec.state() == JobState::Cancelled {
+            assert!(
+                !ctrl.started && rec.started_at().is_none(),
+                "delayed case {case}: a cancelled job started"
+            );
+            assert_eq!(stats.client_cancelled, 1, "delayed case {case}");
+            cancelled += 1;
+        } else {
+            assert!(ctrl.started, "delayed case {case}: {:?}", rec.state());
+            assert_eq!(stats.client_cancelled, 0, "delayed case {case}");
+            started += 1;
+        }
+    }
+    // both races happened: requests that found the job already cancelled,
+    // and requests that found it already started
+    assert!(
+        cancelled > 0 && started > 0,
+        "{cancelled} cancelled, {started} started"
+    );
 }
