@@ -1,12 +1,16 @@
 //! Criterion benches for the discrete-event simulator and the Monte-Carlo
 //! strategy executors: engine event throughput, probe-harness trace
-//! collection, per-trial strategy execution cost, and the batching
-//! overhead of a one-cell `ScenarioSweep` over the bare executor.
+//! collection, per-trial strategy execution cost, the batching overhead of
+//! a one-cell `ScenarioSweep` over the bare executor, and the event queue's
+//! cost per push and pop.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::executor::{MonteCarloConfig, ScenarioSweep, StrategyExecutor};
-use gridstrat_sim::{GridConfig, GridSimulation, ProbeHarness};
+use gridstrat_sim::event::{EventKind, EventQueue};
+use gridstrat_sim::{GridConfig, GridSimulation, ProbeHarness, SimDuration, SimTime};
+use gridstrat_stats::rng::derived_rng;
+use gridstrat_stats::{Distribution, Exponential};
 use gridstrat_workload::{WeekId, WeekModel};
 
 fn week() -> WeekModel {
@@ -117,11 +121,42 @@ fn bench_sweep_single_cell_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_event_queue(c: &mut Criterion) {
+    // the engine's access pattern at a community fleet's depth: ~16k
+    // pending events, each pop scheduling its successor an exponential
+    // delay later. Delays are whole seconds, so same-instant ties are
+    // common, as they are for the events one handler schedules
+    const DEPTH: usize = 16_384;
+    const OPS: usize = 100_000;
+    let exp = Exponential::new(1.0 / 600.0).expect("positive rate");
+    let mut rng = derived_rng(0xE7E, 0);
+    let delays: Vec<SimDuration> = (0..DEPTH + OPS)
+        .map(|_| SimDuration::from_secs(exp.sample(&mut rng).round()))
+        .collect();
+    let mut g = c.benchmark_group("event_queue");
+    g.sample_size(20);
+    g.bench_function("push_pop_100k_at_depth_16k", |b| {
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            for (token, &d) in (0..).zip(&delays[..DEPTH]) {
+                q.schedule(SimTime::ZERO.after(d), EventKind::Timer { token });
+            }
+            for &d in &delays[DEPTH..] {
+                let (t, kind) = q.pop().expect("the queue stays at depth");
+                q.schedule(t.after(d), kind);
+            }
+            black_box(q.len())
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_probe_harness,
     bench_strategy_trials,
     bench_background_load,
-    bench_sweep_single_cell_overhead
+    bench_sweep_single_cell_overhead,
+    bench_event_queue
 );
 criterion_main!(benches);

@@ -32,7 +32,7 @@ use crate::latency::ParametricModel;
 use crate::replicate::fold_ordered;
 use crate::strategy::{DelayedResubmission, Strategy};
 use gridstrat_sim::{
-    Controller, GridConfig, GridSimulation, JobId, LatencyMode, Notification, SimDuration,
+    Controller, GridConfig, GridSimulation, JobId, LatencyMode, Notification, SimDuration, TimerId,
 };
 use gridstrat_stats::rng::derive_seed;
 use gridstrat_stats::Summary;
@@ -506,7 +506,9 @@ const SUBMIT: u64 = 2;
 /// An echelon's jobs have consecutive ids, so it is stored as its first id.
 /// `t∞ ≤ 2·t0` keeps at most two echelons live, three for the millisecond
 /// by which rounding can put `t∞` past `2·t0`, so a ring of three first ids
-/// covers every live echelon and the controller allocates nothing.
+/// and cancel timers covers every live echelon and the controller allocates
+/// nothing. When a job wins, the controller cancels the timers still
+/// pending, so they never reach the engine's event loop.
 pub(crate) struct EchelonCtrl {
     b: u32,
     t0: SimDuration,
@@ -516,6 +518,10 @@ pub(crate) struct EchelonCtrl {
     /// Echelons cancelled so far: echelons `cancelled..submitted` are live.
     cancelled: u64,
     first: [JobId; 3],
+    /// Echelon `k`'s cancel timer, pending while the echelon is live.
+    cancel_timer: [Option<TimerId>; 3],
+    /// The newest echelon's next-submission timer when `t0 < t∞`.
+    submit_timer: Option<TimerId>,
     j: Option<f64>,
 }
 
@@ -541,6 +547,8 @@ impl EchelonCtrl {
             submitted: 0,
             cancelled: 0,
             first: [JobId(0); 3],
+            cancel_timer: [None; 3],
+            submit_timer: None,
             j: None,
         }
     }
@@ -555,6 +563,8 @@ impl EchelonCtrl {
     pub(crate) fn reset(&mut self) {
         self.submitted = 0;
         self.cancelled = 0;
+        self.cancel_timer = [None; 3];
+        self.submit_timer = None;
         self.j = None;
     }
 
@@ -581,10 +591,11 @@ impl EchelonCtrl {
         self.first[(k % 3) as usize] = first;
         self.submitted += 1;
         if self.t0 == self.t_inf {
-            sim.set_timer(self.t_inf, k << 2 | CANCEL | SUBMIT);
+            self.cancel_timer[(k % 3) as usize] =
+                Some(sim.set_timer(self.t_inf, k << 2 | CANCEL | SUBMIT));
         } else {
-            sim.set_timer(self.t_inf, k << 2 | CANCEL);
-            sim.set_timer(self.t0, k << 2 | SUBMIT);
+            self.cancel_timer[(k % 3) as usize] = Some(sim.set_timer(self.t_inf, k << 2 | CANCEL));
+            self.submit_timer = Some(sim.set_timer(self.t0, k << 2 | SUBMIT));
         }
     }
 }
@@ -605,6 +616,11 @@ impl Controller for EchelonCtrl {
                     for o in self.echelon(k).filter(|&o| o != id.0) {
                         sim.cancel(JobId(o));
                     }
+                    let timer = self.cancel_timer[(k % 3) as usize].take();
+                    sim.cancel_timer(timer.expect("a live echelon's cancel timer is pending"));
+                }
+                if let Some(timer) = self.submit_timer.take() {
+                    sim.cancel_timer(timer);
                 }
             }
             Notification::Timer { token, .. } => {

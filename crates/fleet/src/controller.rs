@@ -67,9 +67,6 @@ pub struct FleetController {
     /// Per-group streaming latency metrics, indexed by group id (`None`
     /// for groups the apportionment left without members).
     groups: Vec<Option<GroupStream>>,
-    /// Bound on the community's pending events — the engine event-heap
-    /// pre-reservation hint.
-    event_hint: usize,
 }
 
 /// Sets bit `id` in a growable bitset.
@@ -116,15 +113,10 @@ impl FleetController {
         assert!(group_window > 0, "group window must be positive");
         let n_groups = assignments.iter().map(|a| a.group + 1).max().unwrap_or(0);
         let mut groups: Vec<Option<GroupStream>> = vec![None; n_groups];
-        let mut event_hint = 0usize;
         for a in assignments {
             groups[a.group]
                 .get_or_insert_with(|| GroupStream::new(a.group, a.strategy, 0, group_window))
                 .members += 1;
-            // a task has one echelon of b jobs in flight, two when t0 < t∞
-            let (b, t0, t_inf) = a.strategy.echelon();
-            let in_flight = if t0 < t_inf { 2 * b } else { b };
-            event_hint += in_flight as usize + 1;
         }
         FleetController {
             agents: assignments
@@ -138,7 +130,6 @@ impl FleetController {
             arrival,
             winner_bits: Vec::new(),
             groups,
-            event_hint,
         }
     }
 
@@ -302,11 +293,6 @@ impl FleetController {
 
 impl Controller for FleetController {
     fn start(&mut self, sim: &mut GridSimulation) {
-        // pre-reserve the engine's event heap for what can be pending at
-        // once: one event per in-flight job of a user's echelons plus its
-        // timer (arrival or timeout). The heap holds pending events only,
-        // so its peak depth tracks users, not the run's total traffic
-        sim.reserve(self.event_hint);
         for user in 0..self.agents.len() {
             let d = self.arrival.initial_delay(&mut self.agents[user].rng);
             self.arm_arrival(sim, user, d);

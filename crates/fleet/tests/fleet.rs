@@ -10,7 +10,7 @@ use gridstrat_fleet::{
     ArrivalProcess, BestResponseSearch, FleetConfig, FleetController, FleetSweep, StrategyGroup,
     StrategyMix,
 };
-use gridstrat_sim::{Controller, GridConfig, GridSimulation, Notification};
+use gridstrat_sim::{Controller, EngineStats, GridConfig, GridSimulation, Notification};
 
 fn test_config() -> FleetConfig {
     let mut cfg = FleetConfig::small_farm(12);
@@ -511,25 +511,7 @@ fn a_fleet_asks_every_job_but_a_winner_to_cancel_once() {
     grid.faults.p_silent_loss = 0.0;
     grid.faults.p_transient_failure = 0.0;
     grid.wms.cancellation_delay_mean_s = 2_000.0;
-    let mix = StrategyMix::new(
-        "four-families",
-        [
-            StrategyParams::Single { t_inf: 90.0 },
-            StrategyParams::Multiple { b: 2, t_inf: 90.0 },
-            StrategyParams::Delayed {
-                t0: 60.0,
-                t_inf: 90.0,
-            },
-            StrategyParams::DelayedMultiple {
-                b: 2,
-                t0: 60.0,
-                t_inf: 90.0,
-            },
-        ]
-        .into_iter()
-        .map(|strategy| StrategyGroup::new(strategy, 1.0))
-        .collect(),
-    );
+    let mix = four_families(60.0, 90.0);
     let users = 8;
     let tasks_per_user = 5;
     let mut fleet = FleetController::new(
@@ -552,5 +534,77 @@ fn a_fleet_asks_every_job_but_a_winner_to_cancel_once() {
         stats.client_cancel_requests,
         stats.client_submitted - fleet.tasks_completed() as u64,
         "every job but a task's winner is asked once"
+    );
+}
+
+/// One equal-weight group per strategy family, at timeout `t_inf` and, for
+/// the delayed families, resubmission delay `t0`.
+fn four_families(t0: f64, t_inf: f64) -> StrategyMix {
+    StrategyMix::new(
+        "four-families",
+        [
+            StrategyParams::Single { t_inf },
+            StrategyParams::Multiple { b: 2, t_inf },
+            StrategyParams::Delayed { t0, t_inf },
+            StrategyParams::DelayedMultiple { b: 2, t0, t_inf },
+        ]
+        .into_iter()
+        .map(|strategy| StrategyGroup::new(strategy, 1.0))
+        .collect(),
+    )
+}
+
+/// Runs `users` users of `mix` on `cfg`'s grid to completion and returns
+/// the engine's counters and the tasks completed.
+fn run_fleet(cfg: &FleetConfig, mix: &StrategyMix, users: usize) -> (EngineStats, usize) {
+    let mut fleet = FleetController::new(
+        &mix.assignments(users),
+        cfg.tasks_per_user,
+        cfg.task_exec_s,
+        cfg.arrival,
+        cfg.seed,
+        cfg.group_window,
+    );
+    let mut sim = GridSimulation::new(cfg.grid.clone(), 17).expect("valid grid");
+    sim.run_controller(&mut fleet);
+    assert_eq!(fleet.tasks_completed(), users * cfg.tasks_per_user);
+    (sim.stats(), fleet.tasks_completed())
+}
+
+#[test]
+fn a_completed_task_cancels_its_pending_timers() {
+    let cfg = FleetConfig::small_farm(12);
+    // single and multiple submission arm one timer per echelon, which both
+    // cancels it and submits the next, so exactly one is pending at a win
+    for strategy in [
+        StrategyParams::Single { t_inf: 700.0 },
+        StrategyParams::Multiple { b: 2, t_inf: 700.0 },
+    ] {
+        let (stats, tasks) = run_fleet(&cfg, &StrategyMix::pure("pure", strategy), 10);
+        assert!(
+            stats.client_submitted > tasks as u64,
+            "no resubmission to exercise timers"
+        );
+        assert_eq!(stats.timers_cancelled, tasks as u64, "{strategy:?}");
+    }
+    // a delayed task wins with its echelon's cancel timer, any other live
+    // echelon's, and the newest echelon's next-submission timer pending
+    let delayed = StrategyParams::Delayed {
+        t0: 400.0,
+        t_inf: 700.0,
+    };
+    let (stats, tasks) = run_fleet(&cfg, &StrategyMix::pure("delayed", delayed), 10);
+    let tasks = tasks as u64;
+    assert!(
+        (2 * tasks..=4 * tasks).contains(&stats.timers_cancelled),
+        "delayed: {} timers cancelled for {tasks} tasks",
+        stats.timers_cancelled
+    );
+    let (stats, tasks) = run_fleet(&cfg, &four_families(400.0, 700.0), 12);
+    let tasks = tasks as u64;
+    assert!(
+        (tasks..=3 * tasks).contains(&stats.timers_cancelled),
+        "four families: {} timers cancelled for {tasks} tasks",
+        stats.timers_cancelled
     );
 }

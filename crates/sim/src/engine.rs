@@ -96,7 +96,15 @@ pub struct EngineStats {
     pub background_submitted: u64,
     /// Background jobs that started.
     pub background_started: u64,
+    /// Timers cancelled through [`GridSimulation::cancel_timer`].
+    pub timers_cancelled: u64,
 }
+
+/// Handle of an armed timer, returned by [`GridSimulation::set_timer`] and
+/// taken by [`GridSimulation::cancel_timer`]. Valid until the timer fires,
+/// is cancelled, or the engine is [reset](GridSimulation::reset).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId(u64);
 
 /// The discrete-event grid simulation.
 ///
@@ -175,7 +183,7 @@ impl GridSimulation {
 
     /// Rewinds the engine in place to the state a freshly-constructed
     /// `GridSimulation::new(cfg, seed)` would have — but keeping every
-    /// internal allocation (job table, event heap, site queues,
+    /// internal allocation (job table, event queue, site queues,
     /// notification buffer). A trial loop that calls `reset` between runs
     /// produces **bit-identical** histories to one that constructs a new
     /// engine per trial, without touching the allocator on the hot path.
@@ -320,14 +328,6 @@ impl GridSimulation {
         }
     }
 
-    /// Pre-reserves capacity for `events` additional pending events, so a
-    /// controller that knows how many events it can have pending at once
-    /// (a community fleet) never grows the event heap on the hot path.
-    /// Purely an allocator hint: the simulated history is unaffected.
-    pub fn reserve(&mut self, events: usize) {
-        self.queue.reserve(events);
-    }
-
     /// Schedules a synthetic background job to arrive at absolute instant
     /// `at` (which must not be in the past) holding a slot for `exec` once
     /// started. The target site is drawn at arrival time from the site
@@ -339,12 +339,14 @@ impl GridSimulation {
         self.queue.schedule(at, EventKind::InjectedArrival { exec });
     }
 
-    /// Arms a timer; a [`Notification::Timer`] fires after `delay`.
+    /// Arms a timer; a [`Notification::Timer`] fires after `delay`, unless
+    /// the returned [`TimerId`] is passed to
+    /// [`GridSimulation::cancel_timer`] first.
     ///
     /// With scope `0` the notification carries `token` verbatim. Under an
     /// active client scope (see [`GridSimulation::set_scope`]) the token is
     /// namespaced to `scope << 32 | token` and must fit in 32 bits.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let token = if self.scope == 0 {
             token
         } else {
@@ -354,8 +356,21 @@ impl GridSimulation {
             );
             self.scope << 32 | token
         };
-        self.queue
-            .schedule(self.now.after(delay), EventKind::Timer { token });
+        TimerId(
+            self.queue
+                .schedule(self.now.after(delay), EventKind::Timer { token }),
+        )
+    }
+
+    /// Cancels a pending timer: its [`Notification::Timer`] never fires,
+    /// and its expiry no longer counts as an event, so it cannot move the
+    /// clock of a run that drains its queue. Consumes no randomness.
+    ///
+    /// Cancel a timer at most once, and only before it fires; debug builds
+    /// assert both.
+    pub fn cancel_timer(&mut self, id: TimerId) {
+        self.queue.cancel(id.0);
+        self.stats.timers_cancelled += 1;
     }
 
     /// Runs the event loop, surfacing notifications to `ctrl`, until the
@@ -384,13 +399,13 @@ impl GridSimulation {
     pub fn step_controller_until<C: Controller + ?Sized>(&mut self, ctrl: &mut C, until: SimTime) {
         let cap = until.min(SimTime::ZERO.after(self.cfg.horizon));
         while !ctrl.done() {
-            let Some(t) = self.queue.peek_time() else {
+            // an event past the cap stays queued and the queue's floor
+            // stays at the last popped instant, so the caller may still
+            // schedule anything from `now` on (injected load at an epoch
+            // boundary, the next task of a sequence)
+            let Some((t, kind)) = self.queue.pop_until(cap) else {
                 break;
             };
-            if t > cap {
-                break;
-            }
-            let (t, kind) = self.queue.pop().expect("peeked event vanished");
             debug_assert!(t >= self.now, "event queue yielded a past event");
             self.now = t;
             self.handle(kind);
@@ -872,7 +887,7 @@ mod tests {
         };
 
         // oracle mode and pipeline mode with background load: the latter
-        // exercises the event heap, site queues and background RNG stream
+        // exercises the event queue, site queues and background RNG stream
         let mut pipeline = GridConfig::pipeline_default();
         pipeline.background = Some(crate::config::BackgroundLoadConfig {
             arrival_rate_per_s: 0.05,
@@ -1093,7 +1108,10 @@ mod tests {
     #[test]
     fn stepped_run_matches_uninterrupted_bit_for_bit() {
         // pausing at arbitrary epoch boundaries consumes no randomness
-        // and moves no state: stepping must replay run_controller exactly
+        // and moves no state: stepping must replay run_controller exactly.
+        // A coupling layer injects load at each boundary, before the next
+        // pending event, so a pause must not move the queue past the
+        // boundary; the uninterrupted run gets the same injections up front
         let mut pipeline = GridConfig::pipeline_default();
         pipeline.background = Some(crate::config::BackgroundLoadConfig {
             arrival_rate_per_s: 0.05,
@@ -1101,33 +1119,79 @@ mod tests {
             exec_cv: 1.0,
         });
         for cfg in [GridConfig::oracle(oracle_model(0.12)), pipeline] {
-            let mut sim = GridSimulation::new(cfg.clone(), 19).unwrap();
-            let mut ctrl = Chain::new(200);
-            sim.run_controller(&mut ctrl);
-            let (jobs, stats) = (fingerprint(&sim), sim.stats());
+            for inject in [false, true] {
+                let mut stepped = GridSimulation::new(cfg.clone(), 19).unwrap();
+                let mut sctrl = Chain::new(200);
+                stepped.start_controller(&mut sctrl);
+                let mut boundaries = Vec::new();
+                let mut t = 0.0;
+                while !sctrl.done() && !stepped.queue.is_empty() {
+                    t += 500.0; // uneven, mid-protocol boundaries
+                    let until = SimTime::from_secs(t);
+                    stepped.step_controller_until(&mut sctrl, until);
+                    if inject {
+                        stepped.inject_background(until, SimDuration::from_secs(40.0));
+                        boundaries.push(until);
+                    }
+                }
 
-            let mut stepped = GridSimulation::new(cfg, 19).unwrap();
-            let mut sctrl = Chain::new(200);
-            stepped.start_controller(&mut sctrl);
-            let mut t = 0.0;
-            while !sctrl.done() && stepped.queue.peek_time().is_some() {
-                t += 500.0; // uneven, mid-protocol boundaries
-                stepped.step_controller_until(&mut sctrl, SimTime::from_secs(t));
+                let mut sim = GridSimulation::new(cfg.clone(), 19).unwrap();
+                for &at in &boundaries {
+                    sim.inject_background(at, SimDuration::from_secs(40.0));
+                }
+                let mut ctrl = Chain::new(200);
+                sim.run_controller(&mut ctrl);
+                assert_eq!(
+                    fingerprint(&stepped),
+                    fingerprint(&sim),
+                    "stepped job audit diverged"
+                );
+                assert_eq!(stepped.stats(), sim.stats(), "stepped stats diverged");
+                assert_eq!(
+                    sctrl
+                        .latencies
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .collect::<Vec<_>>(),
+                    ctrl.latencies
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .collect::<Vec<_>>(),
+                );
             }
-            assert_eq!(fingerprint(&stepped), jobs, "stepped job audit diverged");
-            assert_eq!(stepped.stats(), stats, "stepped stats diverged");
-            assert_eq!(
-                sctrl
-                    .latencies
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-                ctrl.latencies
-                    .iter()
-                    .map(|l| l.to_bits())
-                    .collect::<Vec<_>>(),
-            );
         }
+    }
+
+    #[test]
+    fn a_drained_run_ends_at_its_last_live_event() {
+        // a cancelled timer is no event: a run that drains its queue
+        // stops the clock at the last event that fired, not at the expiry
+        // of a timer nobody waits for
+        struct ArmAndCancel {
+            fired: Vec<u64>,
+        }
+        impl Controller for ArmAndCancel {
+            fn start(&mut self, sim: &mut GridSimulation) {
+                let far = sim.set_timer(SimDuration::from_secs(900_000.0), 1);
+                sim.set_timer(SimDuration::from_secs(10.0), 2);
+                sim.cancel_timer(far);
+            }
+            fn on_event(&mut self, _sim: &mut GridSimulation, ev: Notification) {
+                if let Notification::Timer { token, .. } = ev {
+                    self.fired.push(token);
+                }
+            }
+            fn done(&self) -> bool {
+                false // runs until the queue drains
+            }
+        }
+        let mut sim = GridSimulation::new(GridConfig::oracle(oracle_model(0.0)), 9).unwrap();
+        let mut ctrl = ArmAndCancel { fired: Vec::new() };
+        sim.run_controller(&mut ctrl);
+        assert_eq!(ctrl.fired, vec![2]);
+        assert_eq!(sim.now(), SimTime::from_secs(10.0));
+        assert_eq!(sim.stats().timers_cancelled, 1);
+        assert!(sim.queue.is_empty());
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //! ## Architecture
 //!
 //! * [`time`] — millisecond-resolution simulation clock;
-//! * [`event`] — deterministic event queue (time, sequence) ordered;
+//! * [`event`] — deterministic event queue, (time, sequence) ordered: a
+//!   monotone radix queue of 24-byte records, with cancellation by
+//!   tombstone;
 //! * [`job`] — job state machine and per-job audit records: the engine's
 //!   job table holds one 40-byte [`JobRecord`] per submitted job, indexed
 //!   by its [`JobId`], and read through accessors
@@ -47,7 +49,8 @@
 //! * [`engine`] — the [`GridSimulation`] event loop and the [`Controller`]
 //!   trait through which client-side submission strategies drive it, plus
 //!   the multi-owner routing hooks (client scopes, owner-tagged jobs,
-//!   namespaced timers) that let many independent agents share one engine;
+//!   namespaced timers) that let many independent agents share one engine,
+//!   and cancellable timers ([`TimerId`]);
 //! * [`probe`] — the constant-probes-in-flight measurement harness of §3.2,
 //!   producing [`gridstrat_workload::TraceSet`]s.
 
@@ -63,7 +66,7 @@ pub mod probe;
 pub mod time;
 
 pub use config::{BackgroundLoadConfig, FaultConfig, GridConfig, LatencyMode, SiteConfig};
-pub use engine::{Controller, EngineStats, GridSimulation, Notification};
+pub use engine::{Controller, EngineStats, GridSimulation, Notification, TimerId};
 pub use job::{JobId, JobRecord, JobState};
 pub use modulation::{Modulation, MIN_INTENSITY};
 pub use probe::ProbeHarness;

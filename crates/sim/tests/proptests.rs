@@ -1,19 +1,23 @@
 //! Property-based tests for the discrete-event engine: conservation laws,
-//! cancellation semantics and determinism under randomized configurations.
+//! cancellation semantics and determinism under randomized configurations,
+//! and the event queue's pop order against a reference heap.
 //!
 //! The crates.io `proptest` harness is unavailable offline, so these use a
 //! seeded hand-rolled generator: every `#[test]` draws `CASES` random
 //! configurations from a fixed stream, making failures exactly
 //! reproducible (the failing case index is part of the assertion message).
 
+use gridstrat_sim::event::{EventKind, EventQueue};
 use gridstrat_sim::{
-    BackgroundLoadConfig, Controller, FaultConfig, GridConfig, GridSimulation, JobState,
-    Notification, ProbeHarness, SimDuration,
+    BackgroundLoadConfig, Controller, FaultConfig, GridConfig, GridSimulation, JobId, JobState,
+    Notification, ProbeHarness, SimDuration, SimTime,
 };
 use gridstrat_stats::rng::derived_rng;
 use gridstrat_workload::WeekModel;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 const CASES: usize = 48;
 
@@ -280,4 +284,134 @@ fn cancel_is_idempotent_and_final() {
         cancelled > 0 && started > 0,
         "{cancelled} cancelled, {started} started"
     );
+}
+
+#[test]
+fn event_queue_pops_like_a_reference_heap() {
+    // the radix queue against a binary heap on `(time, sequence)`, pop by
+    // pop: random monotone schedules with same-instant ties, interleaved
+    // pops, `pop_until` caps and cancellations, at time scales from a
+    // millisecond to weeks. A cancelled event must never pop
+    let mut rng = derived_rng(0xE7E, 1);
+    for case in 0..CASES {
+        let spread: u64 = [2, 1_000, 3_600_000, 1 << 40][case % 4];
+        let mut q = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut cancelled: HashSet<u64> = HashSet::new();
+        let mut popped: HashSet<u64> = HashSet::new();
+        // cancellation candidates; popped ones are skipped lazily
+        let mut pending: Vec<u64> = Vec::new();
+        let (mut now, mut last_at, mut scheduled) = (0u64, 0u64, 0u64);
+        // the reference's next live event if it fires at or before `cap`
+        let expect = |reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
+                      cancelled: &HashSet<u64>,
+                      cap: u64| {
+            while let Some(&Reverse((at, seq))) = reference.peek() {
+                if cancelled.contains(&seq) {
+                    reference.pop();
+                } else if at <= cap {
+                    reference.pop();
+                    return Some((at, seq));
+                } else {
+                    break;
+                }
+            }
+            None
+        };
+        for step in 0..1_500 {
+            let op = rng.gen_range(0..10u32);
+            if op < 5 || reference.is_empty() {
+                // ties: the current instant, the last scheduled instant
+                let at = match rng.gen_range(0..5u32) {
+                    0 => now,
+                    1 => last_at.max(now),
+                    _ => now + rng.gen_range(0..spread),
+                };
+                // the token is the sequence number the queue hands out
+                let token = scheduled;
+                scheduled += 1;
+                let seq = q.schedule(SimTime(at), EventKind::Timer { token });
+                assert_eq!(seq, token, "case {case}: sequence numbers");
+                reference.push(Reverse((at, seq)));
+                pending.push(seq);
+                last_at = at;
+                continue;
+            }
+            if op == 5 {
+                while !pending.is_empty() {
+                    let seq = pending.swap_remove(rng.gen_range(0..pending.len()));
+                    if !popped.contains(&seq) {
+                        q.cancel(seq);
+                        cancelled.insert(seq);
+                        break;
+                    }
+                }
+                continue;
+            }
+            let cap = if op == 6 {
+                now + rng.gen_range(0..spread)
+            } else {
+                u64::MAX
+            };
+            let want = expect(&mut reference, &cancelled, cap);
+            let got = q.pop_until(SimTime(cap));
+            assert_eq!(
+                got,
+                want.map(|(at, seq)| (SimTime(at), EventKind::Timer { token: seq })),
+                "case {case} step {step}"
+            );
+            if let Some((at, seq)) = want {
+                assert!(!cancelled.contains(&seq), "case {case}: cancelled pop");
+                popped.insert(seq);
+                now = at;
+            }
+        }
+        let live = reference
+            .iter()
+            .filter(|Reverse((_, seq))| !cancelled.contains(seq))
+            .count();
+        assert_eq!(q.len(), live, "case {case}: live count");
+        while let Some((at, seq)) = expect(&mut reference, &cancelled, u64::MAX) {
+            assert_eq!(
+                q.pop(),
+                Some((SimTime(at), EventKind::Timer { token: seq })),
+                "case {case}: drain"
+            );
+        }
+        assert_eq!(q.pop(), None, "case {case}: drained");
+        assert!(q.is_empty());
+    }
+}
+
+#[test]
+fn every_event_kind_round_trips_through_the_queue() {
+    let kinds = [
+        EventKind::ArriveAtWms(JobId(0)),
+        EventKind::ArriveAtWms(JobId(u64::MAX)),
+        EventKind::Dispatch(JobId(u64::MAX)),
+        EventKind::EnterQueue(JobId(u64::MAX)),
+        EventKind::Start(JobId(u64::MAX)),
+        EventKind::Finish(JobId(u64::MAX)),
+        EventKind::Fail(JobId(u64::MAX)),
+        EventKind::CancelApply(JobId(u64::MAX)),
+        EventKind::BackgroundArrival { site: 0 },
+        EventKind::BackgroundArrival { site: usize::MAX },
+        EventKind::InjectedArrival {
+            exec: SimDuration(u64::MAX),
+        },
+        EventKind::Timer { token: 0 },
+        EventKind::Timer { token: u64::MAX },
+    ];
+    let mut q = EventQueue::new();
+    for (i, &kind) in kinds.iter().enumerate() {
+        // the last one at the latest representable instant
+        let at = if i + 1 == kinds.len() {
+            SimTime::MAX
+        } else {
+            SimTime(i as u64 * 7)
+        };
+        q.schedule(at, kind);
+    }
+    let popped: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|(_, k)| k).collect();
+    assert_eq!(popped, kinds);
 }
