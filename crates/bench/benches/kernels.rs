@@ -166,7 +166,6 @@ fn bench_model_construction(c: &mut Criterion) {
 }
 
 fn bench_analysis_extensions(c: &mut Criterion) {
-    use gridstrat_core::application::JSampler;
     use gridstrat_core::cost::StrategyParams;
     use gridstrat_core::strategy::JDistribution;
     use gridstrat_stats::hazard::HazardProfile;
@@ -190,23 +189,12 @@ fn bench_analysis_extensions(c: &mut Criterion) {
     g.bench_function("j_distribution_makespan_q", |b| {
         b.iter(|| black_box(dist.makespan_quantile(500, black_box(0.5))))
     });
-    let sampler = JSampler::new(&ecdf, spec);
-    g.bench_function("j_sampler_1000_draws", |b| {
-        b.iter(|| {
-            let mut rng = derived_rng(1, 0);
-            let mut acc = 0.0;
-            for _ in 0..1000 {
-                acc += sampler.sample(&mut rng);
-            }
-            black_box(acc)
-        })
-    });
     g.finish();
 }
 
 fn bench_sampling(c: &mut Criterion) {
-    // 1000 calls per iteration, as in `j_sampler_1000_draws`: one call
-    // takes tens of nanoseconds, too little to time on its own
+    // 1000 calls per iteration: one call takes tens of nanoseconds, too
+    // little to time on its own
     const CALLS: u64 = 1000;
     let week = WeekId::W2006Ix.model();
     let body = week.body();

@@ -1,5 +1,5 @@
 //! Monte-Carlo execution of the strategies against the discrete-event grid,
-//! and the batched scenario sweep.
+//! the batched scenario sweep, and batch makespans.
 //!
 //! Each closed form in this crate is validated by actually *running* the
 //! corresponding client-side protocol against [`gridstrat_sim`]: a
@@ -8,12 +8,18 @@
 //! count and time-average parallel-job count are measured from the engine's
 //! audit records. Every family runs on one controller, the echelon
 //! protocol of [`StrategyParams::echelon`], so the executor never matches
-//! on strategy variants.
+//! on strategy variants. It is the only executable implementation of the
+//! protocols; the closed forms and [`crate::strategy::JDistribution`] are
+//! the analytic side it checks.
 //!
-//! Two entry points share one trial loop:
+//! Three entry points share one trial loop:
 //!
-//! * [`StrategyExecutor`] — many trials of **one** strategy on **one**
+//! * [`StrategyExecutor::run`] — many trials of **one** strategy on **one**
 //!   latency law (the validation workhorse), run as a one-cell sweep;
+//! * [`StrategyExecutor::run_batch`] — the makespan `max(J_1 … J_n)` of
+//!   batches of `n` independent tasks launched together (the many-job
+//!   applications of the paper's §1 and §3.3): batch `r` is trials
+//!   `r·n .. (r+1)·n` of one cell;
 //! * [`ScenarioSweep`] — a (strategy × week × grid-scenario) grid evaluated
 //!   in **one** parallel pass. Every cell gets its own RNG stream via
 //!   `derive_seed(master, cell)` and trials within a cell use
@@ -22,10 +28,11 @@
 //! The flat (cell × trial) index space runs through
 //! [`crate::replicate::fold_ordered`]: each pool lane runs 8,192
 //! consecutive trials per round, and the calling thread folds every
-//! round's outcomes into the cells' Welford summaries in trial order
-//! before the next round. The fold order is the index order, so results
-//! are **bit-identical for any thread count**, and memory is bounded by
-//! the lanes (256 KiB of outcomes each), not by the trial count.
+//! round's outcomes in trial order before the next round — into the cells'
+//! Welford summaries, or into each batch's mean and maximum. The fold
+//! order is the index order, so results are **bit-identical for any thread
+//! count**, and memory is bounded by the lanes (256 KiB of outcomes each),
+//! not by the trial count.
 
 use crate::cost::StrategyParams;
 use crate::latency::ParametricModel;
@@ -170,10 +177,15 @@ fn estimate([j, submissions, parallel]: &[Summary; 3]) -> MonteCarloEstimate {
 }
 
 /// Runs `trials` trials of every cell over the flat (cell × trial) index
-/// space, `chunk` trials per lane and round, and folds each cell's
-/// outcomes in trial order — the one trial loop of both executors.
-fn run_cells(cells: &[TrialCell], trials: usize, chunk: usize) -> Vec<MonteCarloEstimate> {
-    let mut folds = vec![[Summary::new(); 3]; cells.len()];
+/// space, `chunk` trials per lane and round, and feeds the outcome of
+/// trial `k % trials` of cell `k / trials` to `fold(k, outcome)` in index
+/// order — the one trial loop of every entry point.
+fn run_cells(
+    cells: &[TrialCell],
+    trials: usize,
+    chunk: usize,
+    fold: impl FnMut(usize, Option<[f64; 3]>),
+) {
     fold_ordered(
         cells.len() * trials,
         chunk,
@@ -183,15 +195,34 @@ fn run_cells(cells: &[TrialCell], trials: usize, chunk: usize) -> Vec<MonteCarlo
             let seed = derive_seed(plan.seed, (k % trials) as u64);
             TrialWorker::obtain(slot, cell, plan, seed).run()
         },
-        |k, outcome| {
-            if let Some(xs) = outcome {
-                for (summary, x) in folds[k / trials].iter_mut().zip(xs) {
-                    summary.push(x);
-                }
-            }
-        },
+        fold,
     );
+}
+
+/// [`run_cells`] folded into each cell's Welford summaries.
+fn estimate_cells(cells: &[TrialCell], trials: usize, chunk: usize) -> Vec<MonteCarloEstimate> {
+    let mut folds = vec![[Summary::new(); 3]; cells.len()];
+    run_cells(cells, trials, chunk, |k, outcome| {
+        if let Some(xs) = outcome {
+            for (summary, x) in folds[k / trials].iter_mut().zip(xs) {
+                summary.push(x);
+            }
+        }
+    });
     folds.iter().map(estimate).collect()
+}
+
+/// Batch-level statistics of an `n`-task application under one strategy.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchOutcome {
+    /// Tasks per batch.
+    pub tasks: usize,
+    /// Mean per-task total latency (seconds).
+    pub mean_latency: f64,
+    /// Mean batch makespan: `E[max(J_1…J_n)]` (seconds).
+    pub mean_makespan: f64,
+    /// 95th-percentile batch makespan across batches (seconds).
+    pub p95_makespan: f64,
 }
 
 /// Runs submission strategies against an oracle- or resample-mode grid.
@@ -246,12 +277,60 @@ impl StrategyExecutor {
     /// reuses one engine + controller across all its trials, so the
     /// per-trial cost is the protocol itself, not allocator traffic.
     pub fn run(&self, spec: StrategyParams) -> MonteCarloEstimate {
-        let cell = TrialCell {
+        estimate_cells(&[self.cell(spec)], self.config.trials, TRIAL_CHUNK).remove(0)
+    }
+
+    /// Runs `config.trials` batches of `tasks` independent tasks launched
+    /// together, and returns their mean per-task latency and the mean and
+    /// 95th percentile of the batch makespan `max(J_1 … J_n)` — a pure
+    /// tail statistic of `J`, which is what the strategies reshape.
+    ///
+    /// Batch `r` is trials `r·tasks .. (r+1)·tasks` of the [`run`](Self::run)
+    /// trial loop, so it is bit-identical for any thread count. Panics when
+    /// a task does not start before the grid horizon.
+    pub fn run_batch(&self, spec: StrategyParams, tasks: usize) -> BatchOutcome {
+        let batches = self.config.trials;
+        assert!(
+            tasks > 0 && batches > 0,
+            "a batch run needs tasks and batches"
+        );
+        let (mut sum, mut max) = (0.0, 0.0f64);
+        let mut means = Summary::new();
+        let mut makespans = Vec::with_capacity(batches);
+        run_cells(
+            &[self.cell(spec)],
+            batches * tasks,
+            TRIAL_CHUNK,
+            |k, outcome| {
+                let [j, ..] = outcome.expect("strategy cannot complete: a task never started");
+                sum += j;
+                max = max.max(j);
+                if (k + 1) % tasks == 0 {
+                    means.push(sum / tasks as f64);
+                    makespans.push(max);
+                    (sum, max) = (0.0, 0.0);
+                }
+            },
+        );
+        makespans.sort_unstable_by(f64::total_cmp);
+        BatchOutcome {
+            tasks,
+            mean_latency: means.mean(),
+            mean_makespan: makespans.iter().sum::<f64>() / batches as f64,
+            p95_makespan: makespans[((0.95 * batches as f64) as usize).min(batches - 1)],
+        }
+    }
+
+    /// The one-cell trial plan of `spec`, checked on the calling thread so
+    /// that an instance the controller cannot run panics here, with the
+    /// controller's message, and not inside a pool lane.
+    fn cell(&self, spec: StrategyParams) -> TrialCell {
+        EchelonCtrl::new(spec);
+        TrialCell {
             grid: Arc::clone(&self.grid),
             strategy: spec,
             seed: self.config.seed,
-        };
-        run_cells(&[cell], self.config.trials, TRIAL_CHUNK).remove(0)
+        }
     }
 }
 
@@ -472,7 +551,7 @@ impl ScenarioSweep {
             }
         }
 
-        run_cells(&cells, self.config.trials, TRIAL_CHUNK)
+        estimate_cells(&cells, self.config.trials, TRIAL_CHUNK)
             .into_iter()
             .zip(outcomes)
             .map(
@@ -1091,6 +1170,163 @@ mod tests {
         );
     }
 
+    // --- batch makespans ----------------------------------------------------
+
+    /// The resampled trace of the batch tests: 4,000 probes of a week with
+    /// 12% outliers at the 10,000 s threshold.
+    fn app_trace() -> gridstrat_workload::TraceSet {
+        WeekModel::calibrate("app", 500.0, 650.0, 0.12, 150.0, 10_000.0)
+            .unwrap()
+            .generate(4_000, 77)
+    }
+
+    fn batch_executor(batches: usize, seed: u64) -> StrategyExecutor {
+        StrategyExecutor::from_trace(
+            &app_trace(),
+            MonteCarloConfig {
+                trials: batches,
+                seed,
+            },
+        )
+    }
+
+    #[test]
+    fn a_batch_of_one_matches_the_closed_forms() {
+        // a one-task batch is one draw of J; a timeout past the trace
+        // threshold resubmits outliers at t∞, not at the threshold
+        let model = EmpiricalModel::from_trace(&app_trace()).unwrap();
+        for (spec, analytic, batches) in [
+            (
+                StrategyParams::Single { t_inf: 700.0 },
+                SingleResubmission::expectation(&model, 700.0),
+                60_000,
+            ),
+            (
+                StrategyParams::Multiple { b: 3, t_inf: 800.0 },
+                MultipleSubmission::expectation(&model, 3, 800.0),
+                60_000,
+            ),
+            (
+                StrategyParams::Delayed {
+                    t0: 400.0,
+                    t_inf: 560.0,
+                },
+                DelayedResubmission::expectation(&model, 400.0, 560.0),
+                60_000,
+            ),
+            (
+                StrategyParams::Single { t_inf: 15_000.0 },
+                SingleResubmission::expectation(&model, 15_000.0),
+                100_000,
+            ),
+            (
+                StrategyParams::Multiple {
+                    b: 2,
+                    t_inf: 15_000.0,
+                },
+                MultipleSubmission::expectation(&model, 2, 15_000.0),
+                100_000,
+            ),
+        ] {
+            let batch = batch_executor(batches, 1).run_batch(spec, 1);
+            assert!(
+                (batch.mean_latency - analytic).abs() / analytic < 0.02,
+                "{spec:?}: engine {} vs closed form {analytic}",
+                batch.mean_latency
+            );
+        }
+    }
+
+    #[test]
+    fn run_batch_is_identical_across_thread_counts() {
+        // 3 batches of 3,000 tasks: the third batch straddles the first
+        // chunk's end, so its fold spans two lanes' outputs
+        let ex = batch_executor(3, 8);
+        for spec in [
+            StrategyParams::Multiple { b: 2, t_inf: 800.0 },
+            StrategyParams::Delayed {
+                t0: 400.0,
+                t_inf: 560.0,
+            },
+        ] {
+            let runs: Vec<String> = [1, 2, 3, 7]
+                .into_iter()
+                .map(|threads| format!("{:?}", on_threads(threads, || ex.run_batch(spec, 3_000))))
+                .collect();
+            assert!(runs.iter().all(|r| *r == runs[0]), "{spec:?}: {runs:?}");
+        }
+    }
+
+    #[test]
+    fn makespan_grows_with_batch_size() {
+        let ex = batch_executor(300, 2);
+        let spec = StrategyParams::Single { t_inf: 700.0 };
+        let small = ex.run_batch(spec, 10);
+        let large = ex.run_batch(spec, 1_000);
+        assert!(large.mean_makespan > small.mean_makespan);
+        // mean per-task latency is batch-size independent
+        assert!((large.mean_latency - small.mean_latency).abs() / small.mean_latency < 0.1);
+        assert!(large.p95_makespan >= large.mean_makespan);
+    }
+
+    #[test]
+    fn multiple_submission_crushes_the_makespan_tail() {
+        // the strategy's variance reduction matters MORE at batch level:
+        // the b=5 makespan must beat single's by a larger factor than the
+        // mean-latency improvement
+        let model = EmpiricalModel::from_trace(&app_trace()).unwrap();
+        let single_t = SingleResubmission::optimize(&model).timeout;
+        let multi_t = MultipleSubmission::optimize(&model, 5).timeout;
+        let ex = batch_executor(200, 3);
+        let b1 = ex.run_batch(StrategyParams::Single { t_inf: single_t }, 500);
+        let b5 = ex.run_batch(
+            StrategyParams::Multiple {
+                b: 5,
+                t_inf: multi_t,
+            },
+            500,
+        );
+        let mean_gain = b1.mean_latency / b5.mean_latency;
+        let makespan_gain = b1.mean_makespan / b5.mean_makespan;
+        assert!(
+            makespan_gain > mean_gain,
+            "makespan gain {makespan_gain} should exceed mean gain {mean_gain}"
+        );
+        assert!(makespan_gain > 2.0);
+    }
+
+    #[test]
+    fn batch_is_deterministic_in_seed() {
+        let spec = StrategyParams::Delayed {
+            t0: 300.0,
+            t_inf: 450.0,
+        };
+        let a = batch_executor(100, 9).run_batch(spec, 50);
+        let b = batch_executor(100, 9).run_batch(spec, 50);
+        assert_eq!(a.mean_makespan.to_bits(), b.mean_makespan.to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "feasible pair")]
+    fn run_batch_rejects_infeasible_delayed() {
+        batch_executor(4, 0).run_batch(
+            StrategyParams::Delayed {
+                t0: 100.0,
+                t_inf: 500.0,
+            },
+            10,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "strategy cannot complete")]
+    fn run_batch_panics_when_a_task_never_starts() {
+        let mut grid = GridConfig::oracle(week());
+        grid.horizon = SimDuration::from_secs(450.0);
+        StrategyExecutor::from_grid(grid, cfg(20))
+            .run_batch(StrategyParams::Single { t_inf: 700.0 }, 5);
+    }
+
     // --- scenario sweep ------------------------------------------------------
 
     fn small_sweep(seed: u64, trials: usize) -> ScenarioSweep {
@@ -1316,7 +1552,7 @@ mod tests {
         );
         for chunk in [1, 5, 8, 40, TRIAL_CHUNK] {
             for threads in [1, 2, 3, 7] {
-                let streamed = on_threads(threads, || run_cells(&cells, trials, chunk));
+                let streamed = on_threads(threads, || estimate_cells(&cells, trials, chunk));
                 assert_eq!(
                     format!("{streamed:?}"),
                     format!("{oracle:?}"),

@@ -26,10 +26,13 @@
 //! * [`transfer`] — the week-to-week parameter-transfer protocol of
 //!   Table 6 (§7.2, “practical implementation”);
 //! * [`executor`] — Monte-Carlo execution of each strategy against the
-//!   [`gridstrat_sim`] discrete-event grid, validating every closed form,
-//!   plus the batched [`executor::ScenarioSweep`] evaluating a
-//!   (strategy × week × grid-scenario) grid in one thread-count-independent
-//!   rayon pass;
+//!   [`gridstrat_sim`] discrete-event grid, validating every closed form:
+//!   [`executor::StrategyExecutor::run`] for one strategy,
+//!   [`executor::StrategyExecutor::run_batch`] for the makespan of a batch
+//!   of independent tasks, and the batched [`executor::ScenarioSweep`]
+//!   evaluating a (strategy × week × grid-scenario) grid, all on one
+//!   thread-count-independent trial loop. Its echelon controller is the
+//!   only executable implementation of the protocols;
 //! * [`replicate`] — the ordered replication fold behind the
 //!   executors and the `gridstrat-fleet` sweeps: outputs are folded in
 //!   index order as pool rounds finish, so memory is bounded by the pool,
@@ -56,7 +59,6 @@
 #![warn(clippy::all)]
 
 pub mod adaptive;
-pub mod application;
 pub mod cost;
 pub mod executor;
 pub mod latency;
@@ -73,8 +75,8 @@ pub use adaptive::{
 };
 pub use cost::{cost_point, delta_cost, CostPoint, StrategyParams};
 pub use executor::{
-    GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome, ScenarioSweep,
-    StrategyExecutor,
+    BatchOutcome, GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome,
+    ScenarioSweep, StrategyExecutor,
 };
 pub use latency::{EmpiricalModel, LatencyModel, ParametricModel};
 pub use session::TaskSession;

@@ -16,7 +16,7 @@
 //!
 //! These are cross-validated against the moment formulas (eqs. 1, 3, 5) by
 //! numerically integrating the survival function, and against the
-//! Monte-Carlo samplers.
+//! protocols run on the engine ([`crate::StrategyExecutor::run_batch`]).
 
 use crate::cost::StrategyParams;
 use crate::latency::LatencyModel;
@@ -160,15 +160,18 @@ impl<'a, M: LatencyModel + ?Sized> JDistribution<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::application::JSampler;
+    use crate::executor::{MonteCarloConfig, StrategyExecutor};
     use crate::latency::EmpiricalModel;
     use crate::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
-    use gridstrat_stats::rng::derived_rng;
-    use gridstrat_workload::WeekModel;
+    use gridstrat_workload::{TraceSet, WeekModel};
+
+    fn trace() -> TraceSet {
+        let w = WeekModel::calibrate("dist", 500.0, 650.0, 0.12, 150.0, 10_000.0).unwrap();
+        w.generate(3_000, 55)
+    }
 
     fn model() -> EmpiricalModel {
-        let w = WeekModel::calibrate("dist", 500.0, 650.0, 0.12, 150.0, 10_000.0).unwrap();
-        EmpiricalModel::from_trace(&w.generate(3_000, 55)).unwrap()
+        EmpiricalModel::from_trace(&trace()).unwrap()
     }
 
     fn specs() -> Vec<StrategyParams> {
@@ -245,20 +248,29 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_match_the_sampler() {
+    fn quantiles_match_the_engine() {
+        // the law against the protocol run on the engine, resampling the
+        // very trace the model was built from
         let m = model();
         let spec = StrategyParams::Multiple { b: 2, t_inf: 800.0 };
         let d = JDistribution::new(&m, spec).unwrap();
-        let sampler = JSampler::new(m.ecdf(), spec);
-        let mut rng = derived_rng(3, 0);
-        let mut xs: Vec<f64> = (0..40_000).map(|_| sampler.sample(&mut rng)).collect();
-        xs.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        for p in [0.25, 0.5, 0.9, 0.99] {
-            let analytic = d.quantile(p);
-            let empirical = xs[((p * xs.len() as f64) as usize).min(xs.len() - 1)];
+        let engine = |batches, tasks| {
+            let config = MonteCarloConfig {
+                trials: batches,
+                seed: 3,
+            };
+            StrategyExecutor::from_trace(&trace(), config)
+                .run_batch(spec, tasks)
+                .p95_makespan
+        };
+        for (tasks, analytic, batches) in [
+            (1, d.quantile(0.95), 40_000),
+            (20, d.makespan_quantile(20, 0.95), 2_000),
+        ] {
+            let empirical = engine(batches, tasks);
             assert!(
                 (analytic - empirical).abs() / empirical.max(1.0) < 0.05,
-                "p={p}: analytic {analytic} vs sampled {empirical}"
+                "{tasks} tasks: analytic p95 {analytic} vs engine {empirical}"
             );
         }
     }
@@ -281,7 +293,7 @@ mod tests {
     }
 
     #[test]
-    fn makespan_ranks_strategies_like_the_sampler_study() {
+    fn makespan_ranks_strategies_like_the_batch_study() {
         let m = model();
         let single = JDistribution::new(&m, StrategyParams::Single { t_inf: 700.0 }).unwrap();
         let multi =

@@ -30,16 +30,9 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Delay before this user's first task.
-    pub(crate) fn initial_delay(self, rng: &mut StdRng) -> f64 {
-        match self {
-            ArrivalProcess::BackToBack => 0.0,
-            ArrivalProcess::ThinkTime { mean_s } => exp_sample(rng, mean_s),
-        }
-    }
-
-    /// Delay between a task completion and the next task's launch.
-    pub(crate) fn think_delay(self, rng: &mut StdRng) -> f64 {
+    /// Delay before this user's first task, and between a task completion
+    /// and the next task's launch.
+    pub(crate) fn delay(self, rng: &mut StdRng) -> f64 {
         match self {
             ArrivalProcess::BackToBack => 0.0,
             ArrivalProcess::ThinkTime { mean_s } => exp_sample(rng, mean_s),
@@ -181,18 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn back_to_back_has_zero_delays() {
+    fn delays_are_zero_back_to_back_and_deterministic_per_stream() {
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(ArrivalProcess::BackToBack.initial_delay(&mut rng), 0.0);
-        assert_eq!(ArrivalProcess::BackToBack.think_delay(&mut rng), 0.0);
-    }
-
-    #[test]
-    fn think_time_is_deterministic_per_stream() {
+        assert_eq!(ArrivalProcess::BackToBack.delay(&mut rng), 0.0);
         let draw = |seed: u64| {
             let mut rng = StdRng::seed_from_u64(seed);
             let p = ArrivalProcess::ThinkTime { mean_s: 120.0 };
-            (p.initial_delay(&mut rng), p.think_delay(&mut rng))
+            (p.delay(&mut rng), p.delay(&mut rng))
         };
         assert_eq!(draw(5), draw(5));
         assert_ne!(draw(5), draw(6));
@@ -205,7 +193,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let p = ArrivalProcess::ThinkTime { mean_s: 200.0 };
         let n = 20_000;
-        let sum: f64 = (0..n).map(|_| p.think_delay(&mut rng)).sum();
+        let sum: f64 = (0..n).map(|_| p.delay(&mut rng)).sum();
         let mean = sum / n as f64;
         assert!((mean - 200.0).abs() < 10.0, "mean {mean}");
     }

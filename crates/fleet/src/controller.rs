@@ -221,7 +221,7 @@ impl FleetController {
             }
         }
         let delay = if more {
-            self.arrival.think_delay(&mut agent.rng)
+            self.arrival.delay(&mut agent.rng)
         } else {
             0.0
         };
@@ -294,7 +294,7 @@ impl FleetController {
 impl Controller for FleetController {
     fn start(&mut self, sim: &mut GridSimulation) {
         for user in 0..self.agents.len() {
-            let d = self.arrival.initial_delay(&mut self.agents[user].rng);
+            let d = self.arrival.delay(&mut self.agents[user].rng);
             self.arm_arrival(sim, user, d);
         }
     }

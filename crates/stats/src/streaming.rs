@@ -12,10 +12,9 @@
 //!   reusing the crate's exact prefix-table machinery, so every strategy
 //!   kernel (survival integrals, powered/product variants) is available on
 //!   the live estimate at the usual O(log n) cost;
-//! * **exponentially-decayed scalar summaries** (body mean, censored
-//!   fraction, effective sample weight) whose decay factor discounts old
-//!   observations smoothly — the drift signals a retuning policy reacts
-//!   to, available even when the window is not yet full.
+//! * an **exponentially-decayed censored fraction**, whose decay factor
+//!   discounts old observations smoothly — the drift signal a retuning
+//!   policy reacts to, available even when the window is not yet full.
 //!
 //! Censored observations are conservative in the snapshot: the window ECDF
 //! counts them as outlier mass (their latency is only known to exceed the
@@ -74,7 +73,7 @@ impl Observation {
 pub struct StreamingEcdf {
     /// Maximum observations retained for the snapshot window.
     window: usize,
-    /// Per-observation decay factor in `(0, 1]` for the scalar summaries.
+    /// Per-observation decay factor in `(0, 1]` for the censored fraction.
     decay: f64,
     /// Censoring threshold stamped on snapshots (body samples at/above it
     /// are treated as outliers, exactly like [`Ecdf::from_samples`]).
@@ -84,14 +83,6 @@ pub struct StreamingEcdf {
     ew_weight: f64,
     /// Decayed weight of censored observations.
     ew_censored: f64,
-    /// Decayed sum and weight of *started* latencies (for the body mean).
-    ew_body_sum: f64,
-    ew_body_weight: f64,
-    /// Decayed sum of **all** observation values — for a job abandoned at
-    /// `c` the value is `c`, i.e. the sum estimates `E[min(R, censor)]`,
-    /// the quantity that equals the survival integral `A(t∞)` when every
-    /// censor point is the strategy timeout.
-    ew_value_sum: f64,
     /// Lifetime observation count (window-independent).
     seen: u64,
 }
@@ -119,9 +110,6 @@ impl StreamingEcdf {
             buf: VecDeque::new(),
             ew_weight: 0.0,
             ew_censored: 0.0,
-            ew_body_sum: 0.0,
-            ew_body_weight: 0.0,
-            ew_value_sum: 0.0,
             seen: 0,
         })
     }
@@ -143,15 +131,8 @@ impl StreamingEcdf {
         self.buf.push_back(obs);
         self.ew_weight = self.decay * self.ew_weight + 1.0;
         self.ew_censored *= self.decay;
-        self.ew_body_sum *= self.decay;
-        self.ew_body_weight *= self.decay;
-        self.ew_value_sum = self.decay * self.ew_value_sum + x;
-        match obs {
-            Observation::Started(v) => {
-                self.ew_body_sum += v;
-                self.ew_body_weight += 1.0;
-            }
-            Observation::Censored(_) => self.ew_censored += 1.0,
+        if obs.is_censored() {
+            self.ew_censored += 1.0;
         }
         self.seen += 1;
     }
@@ -173,9 +154,6 @@ impl StreamingEcdf {
         self.buf.clear();
         self.ew_weight = 0.0;
         self.ew_censored = 0.0;
-        self.ew_body_sum = 0.0;
-        self.ew_body_weight = 0.0;
-        self.ew_value_sum = 0.0;
         self.seen = 0;
     }
 
@@ -194,7 +172,7 @@ impl StreamingEcdf {
     /// lifetime count — the deterministic merge used when independent
     /// streams (e.g. engine shards) are folded into one report. The merged
     /// window holds the union's most recent observations in replay order;
-    /// the decayed scalar summaries treat the replayed window as the most
+    /// the decayed censored fraction treats the replayed window as the most
     /// recent history (evicted observations cannot be recovered).
     pub fn absorb(&mut self, other: &StreamingEcdf) {
         let evicted = other.seen - other.buf.len() as u64;
@@ -224,7 +202,7 @@ impl StreamingEcdf {
         self.window
     }
 
-    /// The scalar-summary decay factor.
+    /// The censored-fraction decay factor.
     pub fn decay(&self) -> f64 {
         self.decay
     }
@@ -234,32 +212,10 @@ impl StreamingEcdf {
         self.threshold
     }
 
-    /// Exponentially-decayed mean of the started latencies
-    /// (`NaN` before the first started observation).
-    pub fn decayed_body_mean(&self) -> f64 {
-        self.ew_body_sum / self.ew_body_weight
-    }
-
     /// Exponentially-decayed fraction of censored observations
     /// (`NaN` before the first observation).
     pub fn decayed_censored_fraction(&self) -> f64 {
         self.ew_censored / self.ew_weight
-    }
-
-    /// Exponentially-decayed mean of **all** observation values — started
-    /// latencies at their value, abandoned jobs at their censor time. When
-    /// every censor point is the strategy timeout `t∞`, this estimates
-    /// `E[min(R, t∞)] = ∫₀^{t∞}(1 − F̃)`, the survival integral the
-    /// scale-tracking retune policy matches against. `NaN` before the
-    /// first observation.
-    pub fn decayed_value_mean(&self) -> f64 {
-        self.ew_value_sum / self.ew_weight
-    }
-
-    /// Effective sample size of the decayed summaries
-    /// (`(1 - decay^n) / (1 - decay)`; equals `n` when `decay = 1`).
-    pub fn effective_weight(&self) -> f64 {
-        self.ew_weight
     }
 
     /// Materialises the window as an exact [`Ecdf`]: started observations
@@ -337,8 +293,8 @@ mod tests {
             seq.snapshot().unwrap().body()
         );
         assert_eq!(
-            merged.decayed_body_mean().to_bits(),
-            seq.decayed_body_mean().to_bits()
+            merged.decayed_censored_fraction().to_bits(),
+            seq.decayed_censored_fraction().to_bits()
         );
     }
 
@@ -411,7 +367,6 @@ mod tests {
         for _ in 0..200 {
             est.observe_started(100.0);
         }
-        assert!((est.decayed_body_mean() - 100.0).abs() < 1e-9);
         assert!(est.decayed_censored_fraction() < 1e-9);
         // the law shifts up and starts censoring: the decayed view follows
         // quickly even though the window still holds the old observations
@@ -420,17 +375,10 @@ mod tests {
             est.observe_censored(600.0);
         }
         assert!(
-            est.decayed_body_mean() > 400.0,
-            "{}",
-            est.decayed_body_mean()
-        );
-        assert!(
             (est.decayed_censored_fraction() - 0.5).abs() < 0.05,
             "{}",
             est.decayed_censored_fraction()
         );
-        // effective weight saturates near 1/(1-decay)
-        assert!((est.effective_weight() - 10.0).abs() < 0.5);
     }
 
     #[test]
@@ -440,11 +388,7 @@ mod tests {
             est.observe_started(x);
         }
         est.observe_censored(40.0);
-        assert!((est.decayed_body_mean() - 20.0).abs() < 1e-12);
         assert!((est.decayed_censored_fraction() - 0.25).abs() < 1e-12);
-        assert!((est.effective_weight() - 4.0).abs() < 1e-12);
-        // value mean covers censored observations at their censor time
-        assert!((est.decayed_value_mean() - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -484,7 +428,6 @@ mod tests {
                     prints.push((
                         snap.body().iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                         snap.n_total(),
-                        est.decayed_value_mean().to_bits(),
                         est.decayed_censored_fraction().to_bits(),
                         est.seen(),
                     ));

@@ -7,10 +7,12 @@
 //! The paper's motivation (§1) is applications submitting *many* jobs — a
 //! medical-imaging workflow on the biomed VO typically fans out hundreds of
 //! independent tasks. This example executes such a batch against the
-//! discrete-event grid (oracle mode, calibrated to week 2007-51) under the
-//! three strategies in one batched [`ScenarioSweep`] pass and reports, per
-//! strategy: mean per-task latency, the batch makespan proxy (slowest
-//! task), and the submission overhead the grid has to absorb.
+//! discrete-event grid (oracle mode, calibrated to week 2007-51) under each
+//! strategy. The first table runs the strategies in one batched
+//! [`ScenarioSweep`] pass and reports, per strategy: mean per-task latency,
+//! the mean batch makespan (slowest task), and the submission overhead the
+//! grid has to absorb. The second replays the week's trace and reports the
+//! mean and 95th percentile of the batch makespan.
 
 use gridstrat::prelude::*;
 
@@ -73,23 +75,28 @@ fn main() {
     );
     // one batched sweep pass executes all four strategies (cells share the
     // thread pool, so the whole table costs one StrategyExecutor run)
-    let sweep = ScenarioSweep::over_strategies(
-        specs.iter().map(|(_, spec)| *spec).collect(),
-        week,
+    let config = MonteCarloConfig {
+        trials: TASKS,
+        seed: 0xB10,
+    };
+    let sweep =
+        ScenarioSweep::over_strategies(specs.iter().map(|(_, spec)| *spec).collect(), week, config);
+    // `max J` across tasks is the batch's makespan when all tasks start
+    // together: the mean over 20 batches of the slowest of TASKS tasks
+    let batches = StrategyExecutor::new(
+        week.model(),
         MonteCarloConfig {
-            trials: TASKS,
-            seed: 0xB10,
+            trials: 20,
+            ..config
         },
     );
-    for ((name, _), cell) in specs.iter().zip(sweep.run()) {
+    for ((name, spec), cell) in specs.iter().zip(sweep.run()) {
         let est = cell.estimate;
-        // `max J` across tasks is the batch's makespan bottleneck when all
-        // tasks start together
         println!(
             "{:<28} {:>9.0}s {:>9.0}s {:>12.2} {:>12.2}",
             name,
             est.mean_j,
-            est.mean_j + 3.0 * est.std_j, // 3σ proxy for the slowest task
+            batches.run_batch(*spec, TASKS).mean_makespan,
             est.mean_submissions,
             est.mean_parallel,
         );
@@ -109,37 +116,21 @@ fn main() {
 
     // ---- batch makespan: where the variance reduction really pays -------
     // the batch finishes when its SLOWEST task starts, so the makespan is
-    // a pure tail statistic of J — computed here with the fast analytic
-    // J-sampler instead of the event simulator
-    let ecdf = trace.ecdf().expect("valid trace");
+    // a pure tail statistic of J — here every task resamples the week's
+    // recorded trace, the law the strategies were tuned on
+    let replay = StrategyExecutor::from_trace(
+        &trace,
+        MonteCarloConfig {
+            trials: 400,
+            seed: 0xBA7C,
+        },
+    );
     println!(
-        "\nbatch makespan (latency part, {TASKS} tasks, 400 replications):\n{:<28} {:>12} {:>12}",
+        "\nbatch makespan (latency part, {TASKS} tasks, 400 batches):\n{:<28} {:>12} {:>12}",
         "strategy", "mean", "p95"
     );
-    for (name, spec) in [
-        (
-            "single resubmission",
-            StrategyParams::Single {
-                t_inf: single.timeout,
-            },
-        ),
-        (
-            "multiple submission b=3",
-            StrategyParams::Multiple {
-                b: 3,
-                t_inf: multi3.timeout,
-            },
-        ),
-        (
-            "delayed resubmission",
-            StrategyParams::Delayed {
-                t0: d_t0,
-                t_inf: d_tinf,
-            },
-        ),
-    ] {
-        let sampler = JSampler::new(&ecdf, spec);
-        let batch = batch_outcome(&sampler, TASKS, 400, 0xBA7C);
+    for (name, spec) in &specs[1..] {
+        let batch = replay.run_batch(*spec, TASKS);
         println!(
             "{:<28} {:>11.0}s {:>11.0}s",
             name, batch.mean_makespan, batch.p95_makespan

@@ -53,14 +53,13 @@ pub mod prelude {
         run_adaptive_sequence, run_fixed_sequence, AdaptiveCellOutcome, AdaptiveConfig,
         AdaptiveSweep, RegretFrontier, RetunePolicy, SequenceOutcome, SequenceSummary, TaskRecord,
     };
-    pub use gridstrat_core::application::{batch_outcome, BatchOutcome, JSampler};
     pub use gridstrat_core::cost::{
         cost_point, delayed_cost_profile, delayed_delta_cost_at, delta_cost, multiple_cost_profile,
         optimize_delayed_delta_cost, CostPoint, StrategyParams,
     };
     pub use gridstrat_core::executor::{
-        GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome, ScenarioSweep,
-        StrategyExecutor,
+        BatchOutcome, GridScenario, MonteCarloConfig, MonteCarloEstimate, ScenarioOutcome,
+        ScenarioSweep, StrategyExecutor,
     };
     pub use gridstrat_core::latency::{EmpiricalModel, LatencyModel, ParametricModel};
     pub use gridstrat_core::report::Table;

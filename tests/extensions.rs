@@ -50,21 +50,25 @@ fn generalized_delayed_monte_carlo_agreement_on_resampled_trace() {
 #[test]
 fn batch_makespan_orders_strategies_like_their_tails() {
     let trace = WeekId::W2007_51.generate(SEED);
-    let ecdf = trace.ecdf().unwrap();
     let model = EmpiricalModel::from_trace(&trace).unwrap();
     let single_t = SingleResubmission::optimize(&model).timeout;
     let multi_t = MultipleSubmission::optimize(&model, 3).timeout;
 
-    let s = JSampler::new(&ecdf, StrategyParams::Single { t_inf: single_t });
-    let m = JSampler::new(
-        &ecdf,
+    let ex = StrategyExecutor::from_trace(
+        &trace,
+        MonteCarloConfig {
+            trials: 200,
+            seed: 11,
+        },
+    );
+    let bs = ex.run_batch(StrategyParams::Single { t_inf: single_t }, 300);
+    let bm = ex.run_batch(
         StrategyParams::Multiple {
             b: 3,
             t_inf: multi_t,
         },
+        300,
     );
-    let bs = batch_outcome(&s, 300, 200, 11);
-    let bm = batch_outcome(&m, 300, 200, 11);
     assert!(bm.mean_makespan < bs.mean_makespan);
     assert!(bm.p95_makespan < bs.p95_makespan);
     // multiple's makespan advantage exceeds its mean advantage
