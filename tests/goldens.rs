@@ -4,15 +4,17 @@
 //! cells (two families, and all four), one 2-shard `ShardedFleet` cell,
 //! one `Multiple { b: 2 }` `AdaptiveSweep` cell, the four families through
 //! `StrategyExecutor` and through fixed and adaptive task sequences on a
-//! grid with a slow cancellation, and the values behind paper Tables 1–4
-//! and the Figure 5 minimum at the `repro` master seed — are evaluated and
+//! grid with a slow cancellation, the values behind paper Tables 1–4 and
+//! the Figure 5 minimum, two Table 5 rows and a three-week Table 6
+//! transfer matrix at the `repro` master seed — are evaluated and
 //! compared, value by value and to the bit, against canonical sorted-key
 //! JSON committed under `replication/expected/`. The files store the
 //! values themselves (f64 in Rust's shortest round-trip form), so a diff
 //! says which statistic moved. They pin what the benchmark digests do
 //! not: standard errors and deviations, the realised parallel-job
 //! average, fairness, slot waste, utilisation, the group quantiles, the
-//! optimisers' chosen timeouts and the `∆cost` profiles.
+//! optimisers' chosen timeouts, the `∆cost` profiles and optima, and the
+//! stability and transfer penalties.
 //!
 //! A mismatch prints the actual JSON. Updating a golden on purpose needs
 //! a CHANGES.md line saying why.
@@ -196,20 +198,17 @@ fn params(p: StrategyParams) -> JsonValue {
     }
 }
 
+fn cost_point_json(p: &CostPoint) -> JsonValue {
+    obj([
+        ("delta_cost", num(p.delta_cost)),
+        ("e_j", num(p.expectation)),
+        ("n_parallel", num(p.n_parallel)),
+        ("params", params(p.params)),
+    ])
+}
+
 fn cost_points(points: &[CostPoint]) -> JsonValue {
-    JsonValue::Array(
-        points
-            .iter()
-            .map(|p| {
-                obj([
-                    ("delta_cost", num(p.delta_cost)),
-                    ("e_j", num(p.expectation)),
-                    ("n_parallel", num(p.n_parallel)),
-                    ("params", params(p.params)),
-                ])
-            })
-            .collect(),
-    )
+    JsonValue::Array(points.iter().map(cost_point_json).collect())
 }
 
 fn sequence_summary(s: &SequenceSummary) -> JsonValue {
@@ -589,4 +588,84 @@ fn table4_cost_profiles_match_golden() {
             ("multiple", cost_points(&multiple_cost_profile(&model, &bs))),
         ]),
     );
+}
+
+/// The `(t0, t∞)` pair of a `∆cost` optimum.
+fn delayed_pair(p: &CostPoint) -> (f64, f64) {
+    match p.params {
+        StrategyParams::Delayed { t0, t_inf } => (t0, t_inf),
+        other => panic!("the ∆cost optimiser yields delayed params, got {other:?}"),
+    }
+}
+
+#[test]
+fn table5_rows_match_golden() {
+    // two weeks of Table 5: the ∆cost optimum and its ±5 s stability scan
+    let rows = [WeekId::W2007_37, WeekId::W2007_51]
+        .iter()
+        .map(|&week| {
+            let model = model_for(week);
+            let single = SingleResubmission::optimize(&model);
+            let best = optimize_delayed_delta_cost(&model);
+            let (t0, t_inf) = delayed_pair(&best);
+            let rep = stability_radius(&model, t0, t_inf, 5, single.expectation);
+            obj([
+                ("optimum", cost_point_json(&best)),
+                (
+                    "stability",
+                    obj([
+                        ("base_delta_cost", num(rep.base_delta_cost)),
+                        ("examined", count(rep.examined)),
+                        ("max_delta_cost", num(rep.max_delta_cost)),
+                        ("max_rel_diff_pct", num(rep.max_rel_diff_pct)),
+                    ]),
+                ),
+                ("week", text(week.name())),
+            ])
+        })
+        .collect();
+    check_golden("table5", JsonValue::Array(rows));
+}
+
+#[test]
+fn table6_transfer_matrix_matches_golden() {
+    // a three-week Table 6: every week under every week's ∆cost optimum
+    let weeks: Vec<(String, EmpiricalModel, (f64, f64))> =
+        [WeekId::W2007_51, WeekId::W2007_53, WeekId::W2008_01]
+            .iter()
+            .map(|&week| {
+                let model = model_for(week);
+                let pair = delayed_pair(&optimize_delayed_delta_cost(&model));
+                (week.name().to_owned(), model, pair)
+            })
+            .collect();
+    let rows = transfer_matrix(&weeks)
+        .iter()
+        .map(|rep| {
+            let cells = rep
+                .cells
+                .iter()
+                .map(|c| {
+                    obj([
+                        ("delta_cost", num(c.delta_cost)),
+                        ("e_j", num(c.expectation)),
+                        ("param_week", text(c.param_week.clone())),
+                        ("t0", num(c.t0)),
+                        ("t_inf", num(c.t_inf)),
+                    ])
+                })
+                .collect();
+            obj([
+                ("cells", JsonValue::Array(cells)),
+                ("eval_week", text(rep.eval_week.clone())),
+                ("max_diff_pct", num(rep.max_diff_pct)),
+                ("own_index", count(rep.own_index)),
+                (
+                    "prev_diff_pct",
+                    rep.prev_diff_pct.map_or(JsonValue::Null, num),
+                ),
+            ])
+        })
+        .collect();
+    check_golden("table6", JsonValue::Array(rows));
 }
