@@ -44,7 +44,7 @@ use gridstrat_stats::StreamingEcdf;
 use gridstrat_workload::{DiurnalModel, WeekModel};
 use rayon::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// How an adaptive run turns its observation stream into new parameters
 /// at a retune point.
@@ -207,50 +207,69 @@ fn expected_j_at_scale(prior: &WeekModel, params: StrategyParams, theta: f64) ->
 const THETA_LO: f64 = 0.05;
 const THETA_HI: f64 = 20.0;
 
-/// A precomputed θ-indexed retuning policy: on a log-spaced grid of load
-/// factors over `[0.05, 20]`, the family's re-tuned parameters on the
-/// θ-scaled prior and the optimal expected latency `E*_J(θ)` they achieve.
+/// A θ-indexed retuning policy: on a log-spaced grid of load factors over
+/// `[0.05, 20]`, the family's re-tuned parameters on the θ-scaled prior
+/// and the optimal expected latency `E*_J(θ)` they achieve.
 ///
 /// This is what a real user would compute *offline* from last week's
 /// calibration ("if the grid runs at θ× its usual load, my timeout should
 /// be …"); online adaptation then reduces to estimating θ̂ and looking the
-/// answer up — no quadrature on the retune path, and the same table
-/// serves the regret frontier's per-instant optimum.
+/// answer up, and the same table serves the regret frontier's per-instant
+/// optimum.
+///
+/// The table is filled on demand, one point per θ, each a pure function
+/// of its index: a lookup forces only the points it reads, so the table
+/// holds the same values for any visit order and any thread count.
 struct ScalePolicy {
-    /// The tuner the table was built with, shared with the sequence
+    /// The tuner the table is filled with, shared with the sequence
     /// harness and the regret frontier.
     tuner: FastTuner,
+    prior: WeekModel,
+    family: StrategyParams,
+    max_t_inf: f64,
     log_thetas: Vec<f64>,
-    params: Vec<StrategyParams>,
-    e_star: Vec<f64>,
+    /// `(params, E*_J)` per grid point, tuned when first read.
+    points: Vec<OnceLock<(StrategyParams, f64)>>,
 }
 
 impl ScalePolicy {
     const POINTS: usize = 65;
 
-    fn build(prior: &WeekModel, family: StrategyParams, max_t_inf: f64, tuner: FastTuner) -> Self {
+    fn new(prior: &WeekModel, family: StrategyParams, max_t_inf: f64, tuner: FastTuner) -> Self {
         let (lo, hi) = (THETA_LO.ln(), THETA_HI.ln());
-        // independent tunes; the ordered collect keeps the table
-        // bit-identical for any thread count
-        let points: Vec<(f64, (StrategyParams, f64))> = (0..Self::POINTS)
-            .into_par_iter()
-            .map(|k| {
-                let log_theta = lo + (hi - lo) * k as f64 / (Self::POINTS - 1) as f64;
-                let theta = log_theta.exp();
-                let law = prior.modulated(theta, theta);
-                let model = ParametricModel::new(law.body(), law.rho, law.threshold_s)
-                    .expect("scaled priors stay valid");
-                let tuned = scale_timeouts(tuner.tune(family, &model), 1.0, max_t_inf);
-                (log_theta, (tuned, tuned.expected_j(&model)))
-            })
-            .collect();
-        let (log_thetas, (params, e_star)) = points.into_iter().unzip();
         ScalePolicy {
             tuner,
-            log_thetas,
-            params,
-            e_star,
+            prior: prior.clone(),
+            family,
+            max_t_inf,
+            log_thetas: (0..Self::POINTS)
+                .map(|k| lo + (hi - lo) * k as f64 / (Self::POINTS - 1) as f64)
+                .collect(),
+            points: (0..Self::POINTS).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// Grid point `k`: the family tuned on the prior scaled by `θ_k`, and
+    /// its expected latency there.
+    fn point(&self, k: usize) -> (StrategyParams, f64) {
+        *self.points[k].get_or_init(|| {
+            let theta = self.log_thetas[k].exp();
+            let law = self.prior.modulated(theta, theta);
+            let model = ParametricModel::new(law.body(), law.rho, law.threshold_s)
+                .expect("scaled priors stay valid");
+            let tuned = scale_timeouts(self.tuner.tune(self.family, &model), 1.0, self.max_t_inf);
+            (tuned, tuned.expected_j(&model))
+        })
+    }
+
+    fn e_star(&self, k: usize) -> f64 {
+        self.point(k).1
+    }
+
+    /// Grid points tuned so far.
+    #[cfg(test)]
+    fn forced(&self) -> usize {
+        self.points.iter().filter(|p| p.get().is_some()).count()
     }
 
     /// Index of the grid point nearest to `theta` in log space.
@@ -272,7 +291,7 @@ impl ScalePolicy {
 
     /// The re-tuned parameters for an estimated load factor.
     fn params_for(&self, theta: f64) -> StrategyParams {
-        self.params[self.nearest(theta)]
+        self.point(self.nearest(theta)).0
     }
 
     /// The oracle-optimal expected latency at load factor `theta`
@@ -281,13 +300,13 @@ impl ScalePolicy {
         let lt = theta.clamp(THETA_LO, THETA_HI).ln();
         let j = self.log_thetas.partition_point(|&x| x < lt);
         if j == 0 {
-            return self.e_star[0];
+            return self.e_star(0);
         }
         if j >= self.log_thetas.len() {
-            return *self.e_star.last().expect("non-empty table");
+            return self.e_star(Self::POINTS - 1);
         }
         let w = (lt - self.log_thetas[j - 1]) / (self.log_thetas[j] - self.log_thetas[j - 1]);
-        self.e_star[j - 1] * (1.0 - w) + self.e_star[j] * w
+        self.e_star(j - 1) * (1.0 - w) + self.e_star(j) * w
     }
 
     /// Inverts the (monotone) `E*_J(θ)` curve at an observed mean task
@@ -297,15 +316,26 @@ impl ScalePolicy {
         if !observed.is_finite() {
             return 1.0;
         }
-        if observed <= self.e_star[0] {
+        if observed <= self.e_star(0) {
             return THETA_LO;
         }
-        let last = *self.e_star.last().expect("non-empty table");
-        if observed >= last {
+        if observed >= self.e_star(Self::POINTS - 1) {
             return THETA_HI;
         }
-        let j = self.e_star.partition_point(|&e| e < observed);
-        let w = (observed - self.e_star[j - 1]) / (self.e_star[j] - self.e_star[j - 1]);
+        // bisection keeping E*(lo) < observed ≤ E*(j), forcing only the
+        // points it reads: on an increasing table, `j` ends at the first
+        // point whose E* is at least `observed`
+        let (mut lo, mut j) = (0, Self::POINTS - 1);
+        while j - lo > 1 {
+            let mid = (lo + j) / 2;
+            if self.e_star(mid) < observed {
+                lo = mid;
+            } else {
+                j = mid;
+            }
+        }
+        let (e_lo, e_hi) = (self.e_star(j - 1), self.e_star(j));
+        let w = (observed - e_lo) / (e_hi - e_lo);
         (self.log_thetas[j - 1] * (1.0 - w) + self.log_thetas[j] * w).exp()
     }
 }
@@ -490,7 +520,7 @@ impl SequenceOutcome {
 }
 
 /// The adaptive side of a sequence run: the observation stream, the
-/// precomputed fast paths, and the scale tracker.
+/// shared fast paths, and the scale tracker.
 struct AdaptState<'a> {
     config: &'a AdaptiveConfig,
     estimator: StreamingEcdf,
@@ -561,9 +591,9 @@ fn run_sequence(
             if (task + 1).is_multiple_of(state.config.retune_every) && task + 1 < n_tasks {
                 let next = match state.policy.as_ref() {
                     // scale tracking: invert the observed decayed task-
-                    // latency mean through the precomputed E*(θ) curve and
-                    // look the re-tuned parameters up — no quadrature on
-                    // the retune path
+                    // latency mean through the E*(θ) table and look the
+                    // re-tuned parameters up; a grid point is tuned the
+                    // first time any run reads it
                     Some(policy) if state.estimator.n_body() >= state.config.min_body => {
                         let theta = state.tracker.update(policy);
                         policy.params_for(theta)
@@ -635,12 +665,12 @@ pub fn run_adaptive_sequence(
 ) -> SequenceOutcome {
     config.validate().expect("valid adaptive config");
     let threshold = censor_threshold(grid, prior);
-    // the prior-optimal delayed ratio and the scale-tracking policy table
-    // are computed once per run (a real user would compute them offline
-    // from last week's calibration)
+    // the prior-optimal delayed ratio is computed once per run, and the
+    // scale-tracking policy table fills as the run reads it (a real user
+    // would compute both offline from last week's calibration)
     let tuner = prior.map_or(FastTuner::full(), |w| FastTuner::for_family(initial, w));
     let policy = match (config.policy, prior) {
-        (RetunePolicy::ScaledPrior, Some(w)) => Some(Arc::new(ScalePolicy::build(
+        (RetunePolicy::ScaledPrior, Some(w)) => Some(Arc::new(ScalePolicy::new(
             w,
             initial,
             0.99 * threshold,
@@ -668,8 +698,8 @@ pub struct RegretFrontier {
     /// Coupled-factor fast path: when a bucket has intensity == fault
     /// factor (every [`DiurnalModel`] instant, and any regime with coupled
     /// factors), the frozen law is exactly a θ-scaled base, so the
-    /// precomputed `E*(θ)` curve answers without a search. Other buckets
-    /// re-tune with the table's tuner.
+    /// `E*(θ)` table answers from its grid points. Other buckets re-tune
+    /// with the table's tuner.
     policy: Arc<ScalePolicy>,
     quant: f64,
     cache: HashMap<(i64, i64), f64>,
@@ -682,7 +712,7 @@ impl RegretFrontier {
     /// costs at most one 1-D search.
     pub fn new(base: WeekModel, modulation: Arc<dyn Modulation>, family: StrategyParams) -> Self {
         let tuner = FastTuner::for_family(family, &base);
-        let policy = Arc::new(ScalePolicy::build(
+        let policy = Arc::new(ScalePolicy::new(
             &base,
             family,
             0.99 * base.threshold_s,
@@ -822,22 +852,30 @@ impl AdaptiveSweep {
         );
         assert!(self.n_tasks > 0, "sweep needs tasks");
         self.adaptive.validate().expect("valid adaptive config");
+        self.run_with(&self.policy())
+    }
 
-        // the tuned-once reference: the family optimised on the stationary
-        // prior — exactly the paper's offline discipline. Its delayed ratio
-        // is the prior-optimal one, so the shared θ-indexed policy/frontier
-        // table, every cell's sequence and every cell's frontier reuse it
+    /// The θ-indexed policy/frontier table every cell shares, for the
+    /// tuned-once reference: the family optimised on the stationary prior
+    /// — exactly the paper's offline discipline. Its delayed ratio is the
+    /// prior-optimal one, so the table, every cell's sequence and every
+    /// cell's frontier reuse it.
+    fn policy(&self) -> Arc<ScalePolicy> {
         let prior_model =
             ParametricModel::new(self.base.body(), self.base.rho, self.base.threshold_s)
                 .expect("calibrated weeks are valid");
         let tuned_once = self.family.tune(&prior_model);
-        let policy = Arc::new(ScalePolicy::build(
+        Arc::new(ScalePolicy::new(
             &self.base,
             tuned_once,
             0.99 * self.base.threshold_s,
             FastTuner::from_tuned(tuned_once),
-        ));
+        ))
+    }
 
+    /// Evaluates the grid with every cell filling the one shared `policy`.
+    fn run_with(&self, policy: &Arc<ScalePolicy>) -> Vec<AdaptiveCellOutcome> {
+        let tuned_once = policy.family;
         let cells: Vec<(f64, usize)> = self
             .amplitudes
             .iter()
@@ -845,7 +883,6 @@ impl AdaptiveSweep {
             .collect();
 
         let cells_ref = &cells;
-        let policy_ref = &policy;
         (0..cells.len())
             .into_par_iter()
             .map(move |cell| {
@@ -867,9 +904,8 @@ impl AdaptiveSweep {
                 let state = AdaptState::new(
                     &config,
                     self.base.threshold_s,
-                    policy_ref.tuner,
-                    matches!(config.policy, RetunePolicy::ScaledPrior)
-                        .then(|| Arc::clone(policy_ref)),
+                    policy.tuner,
+                    matches!(config.policy, RetunePolicy::ScaledPrior).then(|| Arc::clone(policy)),
                 );
                 let adaptive_outcome = run_sequence(
                     &grid,
@@ -883,7 +919,7 @@ impl AdaptiveSweep {
                     self.base.clone(),
                     modulation,
                     self.family,
-                    Arc::clone(policy_ref),
+                    Arc::clone(policy),
                 );
                 AdaptiveCellOutcome {
                     amplitude,
@@ -1122,7 +1158,7 @@ mod tests {
     fn scale_policy_recovers_known_scale() {
         let b = base();
         let family = StrategyParams::Single { t_inf: 700.0 };
-        let policy = ScalePolicy::build(&b, family, 9_900.0, FastTuner::full());
+        let policy = ScalePolicy::new(&b, family, 9_900.0, FastTuner::full());
         for theta_true in [0.5, 1.0, 1.6, 3.0] {
             // noiseless observation: the oracle expectation on the scaled
             // law — inversion must recover the scale to grid precision
@@ -1146,6 +1182,24 @@ mod tests {
         assert_eq!(policy.invert_mean_j(f64::NAN), 1.0);
     }
 
+    /// Every statistic of a sweep cell, as bits.
+    fn cell_bits(c: &AdaptiveCellOutcome) -> Vec<u64> {
+        let mut bits = vec![
+            c.amplitude.to_bits(),
+            c.retune_every as u64,
+            c.retunes as u64,
+        ];
+        for s in [&c.fixed, &c.adaptive] {
+            bits.extend([
+                s.mean_latency.to_bits(),
+                s.mean_regret.to_bits(),
+                s.tasks as u64,
+                s.submissions_per_task.to_bits(),
+            ]);
+        }
+        bits
+    }
+
     #[test]
     fn adaptive_sweep_is_bit_identical_across_thread_counts() {
         let single = AdaptiveSweep {
@@ -1158,8 +1212,13 @@ mod tests {
             n_tasks: 60,
             seed: 0xADA9,
         };
-        // one Delayed cell: its θ-table is the costly, parallel one
-        for sweep in [single, delayed_cell()] {
+        // six Delayed cells: they fill the one shared θ-table concurrently
+        let delayed = AdaptiveSweep {
+            amplitudes: vec![0.3, 0.6, 0.8],
+            retune_periods: vec![5, 10],
+            ..delayed_cell()
+        };
+        for sweep in [single, delayed] {
             let run_with = |threads: usize| {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -1167,21 +1226,206 @@ mod tests {
                     .expect("pool");
                 pool.install(|| sweep.run())
             };
-            let a = run_with(1);
-            let b = run_with(4);
-            assert_eq!(a.len(), sweep.n_cells());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(
-                    x.fixed.mean_latency.to_bits(),
-                    y.fixed.mean_latency.to_bits()
-                );
-                assert_eq!(
-                    x.adaptive.mean_regret.to_bits(),
-                    y.adaptive.mean_regret.to_bits()
-                );
-                assert_eq!(x.retunes, y.retunes);
+            let one = run_with(1);
+            assert_eq!(one.len(), sweep.n_cells());
+            for threads in [2, 3, 7] {
+                let many = run_with(threads);
+                assert_eq!(many.len(), one.len());
+                for (x, y) in one.iter().zip(&many) {
+                    assert_eq!(cell_bits(x), cell_bits(y), "{threads} threads");
+                }
             }
         }
+    }
+
+    /// The drift-week prior of the benchmark's drift sweep.
+    fn drift() -> WeekModel {
+        WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0).unwrap()
+    }
+
+    /// A prior, a tuned family on it, the tuner an [`AdaptiveSweep`]
+    /// derives from that family, and the table the eager build made.
+    struct TableCase {
+        prior: WeekModel,
+        family: StrategyParams,
+        tuner: FastTuner,
+        params: Vec<StrategyParams>,
+        e_star: Vec<f64>,
+    }
+
+    impl TableCase {
+        fn new(prior: WeekModel, family: StrategyParams) -> Self {
+            let model = ParametricModel::new(prior.body(), prior.rho, prior.threshold_s)
+                .expect("calibrated weeks are valid");
+            let family = family.tune(&model);
+            let tuner = FastTuner::from_tuned(family);
+            let (params, e_star) = eager_table(&prior, family, tuner);
+            TableCase {
+                prior,
+                family,
+                tuner,
+                params,
+                e_star,
+            }
+        }
+
+        /// A fresh on-demand table with nothing forced.
+        fn policy(&self) -> ScalePolicy {
+            let max_t_inf = 0.99 * self.prior.threshold_s;
+            ScalePolicy::new(&self.prior, self.family, max_t_inf, self.tuner)
+        }
+    }
+
+    /// The eager build the on-demand table replaced: every point tuned up
+    /// front in parallel, with an ordered collect.
+    fn eager_table(
+        prior: &WeekModel,
+        family: StrategyParams,
+        tuner: FastTuner,
+    ) -> (Vec<StrategyParams>, Vec<f64>) {
+        let (lo, hi) = (THETA_LO.ln(), THETA_HI.ln());
+        let max_t_inf = 0.99 * prior.threshold_s;
+        let points: Vec<(StrategyParams, f64)> = (0..ScalePolicy::POINTS)
+            .into_par_iter()
+            .map(|k| {
+                let log_theta = lo + (hi - lo) * k as f64 / (ScalePolicy::POINTS - 1) as f64;
+                let theta = log_theta.exp();
+                let law = prior.modulated(theta, theta);
+                let model = ParametricModel::new(law.body(), law.rho, law.threshold_s)
+                    .expect("scaled priors stay valid");
+                let tuned = scale_timeouts(tuner.tune(family, &model), 1.0, max_t_inf);
+                (tuned, tuned.expected_j(&model))
+            })
+            .collect();
+        points.into_iter().unzip()
+    }
+
+    /// Drift-week and [`base`], for Delayed and Single, built once and
+    /// shared by the table tests.
+    fn table_cases() -> &'static [TableCase] {
+        static CASES: OnceLock<Vec<TableCase>> = OnceLock::new();
+        CASES.get_or_init(|| {
+            let families = [
+                StrategyParams::Delayed {
+                    t0: 400.0,
+                    t_inf: 560.0,
+                },
+                StrategyParams::Single { t_inf: 700.0 },
+            ];
+            let pairs: Vec<(WeekModel, StrategyParams)> = [drift(), base()]
+                .into_iter()
+                .flat_map(|prior| families.map(|family| (prior.clone(), family)))
+                .collect();
+            (0..pairs.len())
+                .into_par_iter()
+                .map(|k| TableCase::new(pairs[k].0.clone(), pairs[k].1))
+                .collect()
+        })
+    }
+
+    /// The eager inversion: `partition_point` over the whole `E*` table.
+    fn eager_invert(log_thetas: &[f64], e_star: &[f64], observed: f64) -> f64 {
+        if !observed.is_finite() {
+            return 1.0;
+        }
+        if observed <= e_star[0] {
+            return THETA_LO;
+        }
+        if observed >= *e_star.last().unwrap() {
+            return THETA_HI;
+        }
+        let j = e_star.partition_point(|&e| e < observed);
+        let w = (observed - e_star[j - 1]) / (e_star[j] - e_star[j - 1]);
+        (log_thetas[j - 1] * (1.0 - w) + log_thetas[j] * w).exp()
+    }
+
+    fn params_bits(p: StrategyParams) -> (StrategyParams, u32, u64, u64) {
+        let (b, t0, t_inf) = p.echelon();
+        (p, b, t0.to_bits(), t_inf.to_bits())
+    }
+
+    #[test]
+    fn on_demand_table_equals_the_eager_build_and_increases_strictly() {
+        for (i, case) in table_cases().iter().enumerate() {
+            let policy = case.policy();
+            assert_eq!(policy.forced(), 0, "case {i}: nothing is tuned up front");
+            // force in reverse, so no point sees the visit order the eager
+            // build used
+            for k in (0..ScalePolicy::POINTS).rev() {
+                let (p, e) = policy.point(k);
+                assert_eq!(
+                    params_bits(p),
+                    params_bits(case.params[k]),
+                    "case {i}, point {k}"
+                );
+                assert_eq!(e.to_bits(), case.e_star[k].to_bits(), "case {i}, point {k}");
+            }
+            assert_eq!(policy.forced(), ScalePolicy::POINTS);
+            // the precondition under which the lazy bisection and the eager
+            // partition_point pick the same bracket
+            for k in 1..ScalePolicy::POINTS {
+                let (lo, hi) = (policy.e_star(k - 1), policy.e_star(k));
+                assert!(lo < hi, "case {i}: E*[{}] = {lo} ≥ E*[{k}] = {hi}", k - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_inversion_equals_the_eager_partition_point() {
+        for (i, case) in table_cases().iter().enumerate() {
+            let policy = case.policy();
+            let e_star = &case.e_star;
+            let (first, last) = (e_star[0], e_star[ScalePolicy::POINTS - 1]);
+            // a dense sweep from below E*(0) to above E*(64); 31 values
+            // inside every bracket, since E* is nearly flat at low θ and a
+            // sweep even in the observation misses the first brackets;
+            // every grid value exactly; and the non-finite observations
+            let n = 2_000;
+            let sweep =
+                (0..=n).map(|s| 0.5 * first + (1.5 * last - 0.5 * first) * s as f64 / n as f64);
+            let inside = e_star.windows(2).flat_map(|w| {
+                let (lo, hi) = (w[0], w[1]);
+                (1..32).map(move |s| lo + (hi - lo) * s as f64 / 32.0)
+            });
+            let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+            let grid = e_star.iter().copied();
+            for observed in sweep.chain(inside).chain(grid).chain(specials) {
+                let lazy = policy.invert_mean_j(observed);
+                let eager = eager_invert(&policy.log_thetas, e_star, observed);
+                assert_eq!(
+                    lazy.to_bits(),
+                    eager.to_bits(),
+                    "case {i}, observed {observed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn drift_sweep_forces_fewer_than_every_point() {
+        // the benchmark's drift sweep at its default seed: drift-week
+        // prior, 2 amplitudes × 2 retune periods, 600-task Delayed runs
+        let sweep = AdaptiveSweep {
+            base: drift(),
+            period_s: 86_400.0,
+            amplitudes: vec![0.5, 0.8],
+            retune_periods: vec![5, 20],
+            family: StrategyParams::Delayed {
+                t0: 400.0,
+                t_inf: 560.0,
+            },
+            adaptive: AdaptiveConfig::default(),
+            n_tasks: 600,
+            seed: 1,
+        };
+        let policy = sweep.policy();
+        let cells = sweep.run_with(&policy);
+        assert_eq!(cells.len(), 4);
+        let forced = policy.forced();
+        assert!(
+            forced > 0 && forced < ScalePolicy::POINTS,
+            "forced {forced} points"
+        );
     }
 
     /// One 60-task Delayed cell of [`AdaptiveSweep`] on [`base`].

@@ -44,6 +44,7 @@
 
 use crate::latency::LatencyModel;
 use gridstrat_stats::optimize::{grid_min_2d, refine_grid_1d, GridSpec};
+use std::cell::Cell;
 
 /// Outcome of evaluating/optimising the delayed strategy at `(t0, t∞)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +120,20 @@ impl DelayedResubmission {
 
     /// Returns `(E[J], E[J²])` of the `b`-copy generalisation.
     fn raw_moments<M: LatencyModel + ?Sized>(model: &M, b: u32, t0: f64, t_inf: f64) -> (f64, f64) {
+        Self::raw_moments_with(model, b, t0, t_inf, || {
+            model.powered_survival_integrals(b, t0)
+        })
+    }
+
+    /// [`Self::raw_moments`] with `(A(t0), B(t0))` supplied by `head`,
+    /// which is called only for a feasible pair with `F̃(t∞) > 0`.
+    fn raw_moments_with<M: LatencyModel + ?Sized>(
+        model: &M,
+        b: u32,
+        t0: f64,
+        t_inf: f64,
+        head: impl FnOnce() -> (f64, f64),
+    ) -> (f64, f64) {
         assert!(b >= 1, "need at least one copy per echelon");
         if !Self::feasible(t0, t_inf) {
             return (f64::INFINITY, f64::INFINITY);
@@ -130,7 +145,7 @@ impl DelayedResubmission {
         // echelon timeout survival: q = s(t∞)^b
         let q = (1.0 - f).powi(b as i32);
         let l = t_inf - t0; // overlap window length, in [0, t0]
-        let (a_t0, b_t0) = model.powered_survival_integrals(b, t0);
+        let (a_t0, b_t0) = head();
         let (c0, d0) = model.powered_survival_product_integrals(b, t0, l);
         let (a_l, b_l) = model.powered_survival_integrals(b, l);
         let c1 = a_t0 - a_l;
@@ -201,8 +216,19 @@ impl DelayedResubmission {
     pub fn optimize_with_copies<M: LatencyModel + ?Sized>(model: &M, b: u32) -> DelayedOutcome {
         assert!(b >= 1, "need at least one copy per echelon");
         let (lo, hi) = model.plausible_range();
+        // the grid walks t∞ at a fixed t0 in its inner loop, and
+        // (A(t0), B(t0)) depend on t0 alone: one pair per grid row
+        let row: Cell<Option<(u64, (f64, f64))>> = Cell::new(None);
+        let head = |t0: f64| match row.get() {
+            Some((key, pair)) if key == t0.to_bits() => pair,
+            _ => {
+                let pair = model.powered_survival_integrals(b, t0);
+                row.set(Some((t0.to_bits(), pair)));
+                pair
+            }
+        };
         let best = grid_min_2d(
-            |t0, ti| Self::expectation_with_copies(model, b, t0, ti),
+            |t0, ti| Self::raw_moments_with(model, b, t0, ti, || head(t0)).0,
             (lo, hi),
             (lo, (2.0 * hi).min(model.horizon())),
             48,
@@ -526,6 +552,68 @@ mod tests {
         let c = DelayedResubmission::optimize_with_copies(&m, 1);
         assert_eq!(a.expectation.to_bits(), c.expectation.to_bits());
         assert_eq!(a.n_parallel.to_bits(), c.n_parallel.to_bits());
+    }
+
+    /// The 2-D search with no row sharing: every grid point evaluates
+    /// `(A(t0), B(t0))` itself.
+    fn optimize_unshared<M: LatencyModel + ?Sized>(model: &M, b: u32) -> DelayedOutcome {
+        let (lo, hi) = model.plausible_range();
+        let best = grid_min_2d(
+            |t0, ti| DelayedResubmission::expectation_with_copies(model, b, t0, ti),
+            (lo, hi),
+            (lo, (2.0 * hi).min(model.horizon())),
+            48,
+            10,
+            &|t0, ti| DelayedResubmission::feasible(t0, ti),
+        )
+        .unwrap();
+        let (e, s) = DelayedResubmission::moments_with_copies(model, b, best.x, best.y);
+        let n_par = if e.is_finite() {
+            DelayedResubmission::n_parallel_at_with_copies(b, e, best.x, best.y)
+        } else {
+            f64::NAN
+        };
+        DelayedOutcome {
+            t0: best.x,
+            t_inf: best.y,
+            expectation: e,
+            std_dev: s,
+            n_parallel: n_par,
+        }
+    }
+
+    #[test]
+    fn row_shared_search_is_bit_identical_to_the_unshared_one() {
+        let drift = gridstrat_workload::WeekModel::calibrate(
+            "drift-week",
+            570.0,
+            886.0,
+            0.20,
+            60.0,
+            10_000.0,
+        )
+        .unwrap();
+        let trace = gridstrat_workload::WeekId::W2006Ix.generate(0xE6EE);
+        let models: [Box<dyn LatencyModel>; 3] = [
+            Box::new(heavy_model()),
+            Box::new(ParametricModel::new(drift.body(), drift.rho, drift.threshold_s).unwrap()),
+            Box::new(EmpiricalModel::from_trace(&trace).unwrap()),
+        ];
+        for (m, model) in models.iter().enumerate() {
+            for b in 1..=3 {
+                let shared = DelayedResubmission::optimize_with_copies(model.as_ref(), b);
+                let plain = optimize_unshared(model.as_ref(), b);
+                for (x, y) in [
+                    (shared.t0, plain.t0),
+                    (shared.t_inf, plain.t_inf),
+                    (shared.expectation, plain.expectation),
+                    (shared.std_dev, plain.std_dev),
+                    (shared.n_parallel, plain.n_parallel),
+                ] {
+                    assert_eq!(x.to_bits(), y.to_bits(), "model {m}, b = {b}");
+                }
+            }
+        }
     }
 
     #[test]
