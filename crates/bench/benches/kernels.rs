@@ -7,11 +7,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridstrat_bench::{model_for, DEFAULT_SEED};
-use gridstrat_core::latency::{EmpiricalModel, LatencyModel};
+use gridstrat_core::latency::{EmpiricalModel, LatencyModel, ParametricModel};
 use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
 use gridstrat_stats::rng::derived_rng;
 use gridstrat_stats::{Distribution, Ecdf};
-use gridstrat_workload::WeekId;
+use gridstrat_workload::{WeekId, WeekModel};
 
 fn trace_samples(n: usize) -> Vec<f64> {
     let model = WeekId::W2006Ix.model();
@@ -146,6 +146,22 @@ fn bench_optimizers(c: &mut Criterion) {
     });
     g.bench_function("delayed_ratio_1_3", |b| {
         b.iter(|| black_box(DelayedResubmission::optimize_with_ratio(&model, 1.3)))
+    });
+    // one θ-table point of the drift sweep: the drift-week prior at θ = 1,
+    // along the ratio of its own 2-D optimum
+    let drift = WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0)
+        .expect("the drift week calibrates");
+    let prior = ParametricModel::new(drift.body(), drift.rho, drift.threshold_s)
+        .expect("calibrated weeks are valid");
+    let opt = DelayedResubmission::optimize(&prior);
+    let ratio = (opt.t_inf / opt.t0).clamp(1.0, 2.0);
+    g.bench_function("delayed_ratio_parametric", |b| {
+        b.iter(|| {
+            black_box(DelayedResubmission::optimize_with_ratio(
+                &prior,
+                black_box(ratio),
+            ))
+        })
     });
     g.sample_size(10);
     g.bench_function("delayed_free_2d", |b| {

@@ -218,15 +218,7 @@ impl DelayedResubmission {
         let (lo, hi) = model.plausible_range();
         // the grid walks t∞ at a fixed t0 in its inner loop, and
         // (A(t0), B(t0)) depend on t0 alone: one pair per grid row
-        let row: Cell<Option<(u64, (f64, f64))>> = Cell::new(None);
-        let head = |t0: f64| match row.get() {
-            Some((key, pair)) if key == t0.to_bits() => pair,
-            _ => {
-                let pair = model.powered_survival_integrals(b, t0);
-                row.set(Some((t0.to_bits(), pair)));
-                pair
-            }
-        };
+        let head = head_memo(model, b);
         let best = grid_min_2d(
             |t0, ti| Self::raw_moments_with(model, b, t0, ti, || head(t0)).0,
             (lo, hi),
@@ -253,14 +245,30 @@ impl DelayedResubmission {
 
     /// Minimises `E_J` under the constraint `t∞ = ratio·t0`
     /// (Table 3's protocol), `ratio ∈ [1, 2]`.
+    ///
+    /// A 400-step grid over the plausible range of `t0`, then golden-section
+    /// refinement (`refine_grid_1d`). The grid scan is floored by
+    /// `A(t0) = ∫₀^{t0} s(u) du`: before `t0` only the first job is in
+    /// flight, so `P(J > t) = s(t)` there and `E_J(t0, t∞) ≥ A(t0)`, and `A`
+    /// is nondecreasing. Once `A(t0)` exceeds the incumbent by more than the
+    /// quadrature slack (`floor_slack`), no larger `t0` can win and the
+    /// scan stops; up to there it is exhaustive, so the result is the full
+    /// scan's to the bit. The floor and the objective share one `A(t0)` per
+    /// grid point.
     pub fn optimize_with_ratio<M: LatencyModel + ?Sized>(model: &M, ratio: f64) -> DelayedOutcome {
         assert!(
             (1.0..=2.0).contains(&ratio),
             "ratio t∞/t0 must be in [1, 2], got {ratio}"
         );
         let (lo, hi) = model.plausible_range();
+        let head = head_memo(model, 1);
         let r = refine_grid_1d(
-            |t0| Self::expectation(model, t0, ratio * t0),
+            |t0| {
+                #[cfg(test)]
+                RATIO_EVALS.with(|n| n.set(n.get() + 1));
+                Self::raw_moments_with(model, 1, t0, ratio * t0, || head(t0)).0
+            },
+            |t0| head(t0).0,
             GridSpec::new(lo, hi, 400),
             1e-4,
         );
@@ -268,17 +276,51 @@ impl DelayedResubmission {
     }
 }
 
+/// `t0 ↦ (A(t0), B(t0))` of the `b`-copy law behind a one-entry memo keyed
+/// on `t0`'s bits, for searches that ask for one `t0` several times in a
+/// row: a 2-D grid row, or a ratio search's floor and objective.
+fn head_memo<M: LatencyModel + ?Sized>(model: &M, b: u32) -> impl Fn(f64) -> (f64, f64) + '_ {
+    let last: Cell<Option<(u64, (f64, f64))>> = Cell::new(None);
+    move |t0| match last.get() {
+        Some((key, pair)) if key == t0.to_bits() => pair,
+        _ => {
+            let pair = model.powered_survival_integrals(b, t0);
+            last.set(Some((t0.to_bits(), pair)));
+            pair
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Objective evaluations made by
+    /// [`DelayedResubmission::optimize_with_ratio`] on this thread.
+    static RATIO_EVALS: Cell<usize> = const { Cell::new(0) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::{EmpiricalModel, ParametricModel};
     use crate::strategy::SingleResubmission;
+    use gridstrat_stats::optimize::{golden_section, Min1d};
     use gridstrat_stats::rng::derived_rng;
     use gridstrat_stats::{Distribution, LogNormal, Shifted};
+    use rayon::prelude::*;
 
     fn heavy_model() -> ParametricModel<Shifted<LogNormal>> {
         let body = Shifted::new(LogNormal::from_mean_std(360.0, 880.0).unwrap(), 150.0).unwrap();
         ParametricModel::new(body, 0.05, 1e4).unwrap()
+    }
+
+    /// The drift-week prior of the benchmark's drift sweep.
+    fn drift() -> gridstrat_workload::WeekModel {
+        gridstrat_workload::WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0)
+            .unwrap()
+    }
+
+    fn model_of(week: &gridstrat_workload::WeekModel) -> ParametricModel<Shifted<LogNormal>> {
+        ParametricModel::new(week.body(), week.rho, week.threshold_s).unwrap()
     }
 
     #[test]
@@ -584,19 +626,10 @@ mod tests {
 
     #[test]
     fn row_shared_search_is_bit_identical_to_the_unshared_one() {
-        let drift = gridstrat_workload::WeekModel::calibrate(
-            "drift-week",
-            570.0,
-            886.0,
-            0.20,
-            60.0,
-            10_000.0,
-        )
-        .unwrap();
         let trace = gridstrat_workload::WeekId::W2006Ix.generate(0xE6EE);
         let models: [Box<dyn LatencyModel>; 3] = [
             Box::new(heavy_model()),
-            Box::new(ParametricModel::new(drift.body(), drift.rho, drift.threshold_s).unwrap()),
+            Box::new(model_of(&drift())),
             Box::new(EmpiricalModel::from_trace(&trace).unwrap()),
         ];
         for (m, model) in models.iter().enumerate() {
@@ -614,6 +647,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The ratio search with no floor: every one of the 401 grid points is
+    /// evaluated, then the same golden-section refinement runs.
+    fn optimize_with_ratio_unfloored<M: LatencyModel + ?Sized>(
+        model: &M,
+        ratio: f64,
+    ) -> DelayedOutcome {
+        let (lo, hi) = model.plausible_range();
+        let grid = GridSpec::new(lo, hi, 400);
+        let f = |t0: f64| DelayedResubmission::expectation(model, t0, ratio * t0);
+        let mut coarse = Min1d {
+            x: lo,
+            value: f64::INFINITY,
+        };
+        for x in grid.points() {
+            let v = f(x);
+            if v < coarse.value {
+                coarse = Min1d { x, value: v };
+            }
+        }
+        let h = grid.spacing();
+        let refined = golden_section(f, (coarse.x - h).max(lo), (coarse.x + h).min(hi), 1e-4);
+        let best = if refined.value < coarse.value {
+            refined
+        } else {
+            coarse
+        };
+        DelayedResubmission::evaluate(model, best.x, ratio * best.x)
+    }
+
+    /// The ratio `t∞/t0` of the prior's 2-D optimum, as the adaptive
+    /// θ-table fixes it.
+    fn prior_ratio(week: &gridstrat_workload::WeekModel) -> f64 {
+        let opt = DelayedResubmission::optimize(&model_of(week));
+        (opt.t_inf / opt.t0).clamp(1.0, 2.0)
+    }
+
+    fn outcome_bits(o: DelayedOutcome) -> [u64; 5] {
+        [o.t0, o.t_inf, o.expectation, o.std_dev, o.n_parallel].map(f64::to_bits)
+    }
+
+    #[test]
+    fn floored_ratio_search_is_bit_identical_to_the_full_scan() {
+        // the adaptive table's 65 load factors, log-spaced over [0.05, 20],
+        // on the drift-week prior and the adaptive tests' base week
+        let base =
+            gridstrat_workload::WeekModel::calibrate("adapt", 500.0, 700.0, 0.05, 60.0, 10_000.0)
+                .unwrap();
+        let (lo, hi) = (0.05f64.ln(), 20.0f64.ln());
+        for prior in [drift(), base] {
+            let ratios = [1.0, 1.5, 2.0, prior_ratio(&prior)];
+            let mismatches: Vec<Vec<String>> = (0..65usize)
+                .into_par_iter()
+                .map(|k| {
+                    let theta = (lo + (hi - lo) * k as f64 / 64.0).exp();
+                    let model = model_of(&prior.modulated(theta, theta));
+                    ratios
+                        .into_iter()
+                        .filter_map(|r| {
+                            let floored = DelayedResubmission::optimize_with_ratio(&model, r);
+                            let full = optimize_with_ratio_unfloored(&model, r);
+                            (outcome_bits(floored) != outcome_bits(full))
+                                .then(|| format!("θ = {theta}, r = {r}: {floored:?} vs {full:?}"))
+                        })
+                        .collect()
+                })
+                .collect();
+            let mismatches: Vec<String> = mismatches.concat();
+            assert!(mismatches.is_empty(), "{}: {mismatches:#?}", prior.name);
+        }
+        // the empirical model floors on its ECDF prefix tables
+        let trace = gridstrat_workload::WeekId::W2006Ix.generate(0xE6EE);
+        let emp = EmpiricalModel::from_trace(&trace).unwrap();
+        for r in [1.0, 1.3, 1.5, 2.0] {
+            let floored = DelayedResubmission::optimize_with_ratio(&emp, r);
+            let full = optimize_with_ratio_unfloored(&emp, r);
+            assert_eq!(
+                outcome_bits(floored),
+                outcome_bits(full),
+                "2006-IX, r = {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn floored_ratio_search_evaluates_a_fraction_of_the_grid() {
+        // drift-week prior at θ = 1, along its own ratio: the scan stops
+        // after a few dozen of its 401 grid points, and golden-section
+        // refinement adds under 30 evaluations
+        let prior = drift();
+        let model = model_of(&prior.modulated(1.0, 1.0));
+        let ratio = prior_ratio(&prior);
+        RATIO_EVALS.with(|n| n.set(0));
+        DelayedResubmission::optimize_with_ratio(&model, ratio);
+        let evals = RATIO_EVALS.with(Cell::get);
+        assert!(evals < 80, "{evals} objective evaluations");
     }
 
     #[test]

@@ -276,6 +276,67 @@ fn generalized_delayed_bounded_by_components() {
     }
 }
 
+/// The two facts the ratio search's early stop rests on, on the laws it
+/// runs on: `E_J(t0, t∞) ≥ A_b(t0) = ∫₀^{t0} s(u)ᵇ du` (before `t0` only the
+/// first echelon is in flight), and `A_b` nondecreasing in `t0`, both up to
+/// the scan's quadrature slack.
+#[test]
+fn delayed_expectation_is_floored_by_a_nondecreasing_head_integral() {
+    use gridstrat_core::latency::ParametricModel;
+    use gridstrat_stats::optimize::floor_slack;
+    use gridstrat_stats::{LogNormal, Shifted};
+    use gridstrat_workload::{WeekId, WeekModel};
+
+    let drift = WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0).unwrap();
+    let heavy = ParametricModel::new(
+        Shifted::new(LogNormal::from_mean_std(360.0, 880.0).unwrap(), 150.0).unwrap(),
+        0.05,
+        1e4,
+    )
+    .unwrap();
+    let mut models: Vec<(String, Box<dyn LatencyModel>)> = [0.1, 1.0, 3.0]
+        .into_iter()
+        .map(|theta| {
+            let law = drift.modulated(theta, theta);
+            let m = ParametricModel::new(law.body(), law.rho, law.threshold_s).unwrap();
+            (
+                format!("drift θ = {theta}"),
+                Box::new(m) as Box<dyn LatencyModel>,
+            )
+        })
+        .collect();
+    models.push(("heavy".into(), Box::new(heavy)));
+    for week in [WeekId::W2006Ix, WeekId::W2007_51, WeekId::W2008_01] {
+        let m = EmpiricalModel::from_trace(&week.generate(0xE6EE)).unwrap();
+        models.push((format!("{week:?}"), Box::new(m)));
+    }
+    for (name, m) in &models {
+        let (lo, hi) = m.plausible_range();
+        for b in [1u32, 2] {
+            let mut prev = f64::NEG_INFINITY;
+            for i in 0..=120 {
+                let t0 = lo + (hi - lo) * i as f64 / 120.0;
+                let a = m.powered_survival_integrals(b, t0).0;
+                assert!(
+                    a >= prev - floor_slack(prev),
+                    "{name}, b = {b}: A({t0}) = {a} < {prev}"
+                );
+                prev = a;
+                if i % 4 != 0 {
+                    continue;
+                }
+                for r in [1.0, 1.25, 1.5, 1.75, 2.0] {
+                    let e = DelayedResubmission::expectation_with_copies(m.as_ref(), b, t0, r * t0);
+                    assert!(
+                        e >= a - floor_slack(a),
+                        "{name}, b = {b}, t0 = {t0}, r = {r}: E_J {e} < A {a}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn strategy_trait_agrees_with_closed_forms_on_random_models() {
     // the Strategy-trait view must be numerically identical to the

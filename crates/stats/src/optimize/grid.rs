@@ -39,13 +39,23 @@ impl GridSpec {
     }
 }
 
-/// Exhaustive scan over the grid; returns the best point.
-pub fn grid_min_1d(f: impl Fn(f64) -> f64, grid: GridSpec) -> Min1d {
+/// Scan over the grid under a lower bound; returns the best point.
+///
+/// `floor(x)` must be nondecreasing in `x` and at most `f(x)`, up to
+/// [`floor_slack`]. The scan visits the points in increasing order and
+/// stops at the first one whose floor exceeds the incumbent by more than
+/// the slack: no later point can then take the incumbent's place under the
+/// strict `<` rule, so the result is the exhaustive scan's, bit for bit.
+/// `|_| f64::NEG_INFINITY` never stops the scan.
+pub fn grid_min_1d(f: impl Fn(f64) -> f64, floor: impl Fn(f64) -> f64, grid: GridSpec) -> Min1d {
     let mut best = Min1d {
         x: grid.lo,
         value: f64::INFINITY,
     };
     for x in grid.points() {
+        if floor(x) > best.value + floor_slack(best.value) {
+            break;
+        }
         let v = f(x);
         if v < best.value {
             best = Min1d { x, value: v };
@@ -54,11 +64,30 @@ pub fn grid_min_1d(f: impl Fn(f64) -> f64, grid: GridSpec) -> Min1d {
     best
 }
 
+/// How far a floor may exceed the objective before [`grid_min_1d`] trusts
+/// it: `1e-9·|best| + 1e-6`. It covers the quadrature error of objectives
+/// built from adaptive-Simpson integrals (absolute tolerance 1e-6), which
+/// can leave a computed floor a hair above the computed objective, or
+/// above the floor of a later point.
+pub fn floor_slack(best: f64) -> f64 {
+    1e-9 * best.abs() + 1e-6
+}
+
 /// Coarse grid scan followed by golden-section refinement around the best
 /// grid cell. Robust to multi-modality at grid resolution, then locally
 /// optimal to `tol`.
-pub fn refine_grid_1d(f: impl Fn(f64) -> f64 + Copy, grid: GridSpec, tol: f64) -> Min1d {
-    let coarse = grid_min_1d(f, grid);
+///
+/// `floor` is a nondecreasing lower bound on `f` (see [`grid_min_1d`]). The
+/// coarse scan stops once the floor passes the incumbent, and is
+/// exhaustive up to that point, so it returns the cell an exhaustive scan
+/// would; the refinement is the same either way.
+pub fn refine_grid_1d(
+    f: impl Fn(f64) -> f64 + Copy,
+    floor: impl Fn(f64) -> f64,
+    grid: GridSpec,
+    tol: f64,
+) -> Min1d {
+    let coarse = grid_min_1d(f, floor, grid);
     let h = grid.spacing();
     let lo = (coarse.x - h).max(grid.lo);
     let hi = (coarse.x + h).min(grid.hi);
@@ -153,17 +182,42 @@ mod tests {
             let w2 = -2.0 / (1.0 + (x - 8.0) * (x - 8.0));
             w1 + w2
         };
-        let r = refine_grid_1d(f, GridSpec::new(0.0, 10.0, 100), 1e-8);
+        let r = refine_grid_1d(
+            f,
+            |_| f64::NEG_INFINITY,
+            GridSpec::new(0.0, 10.0, 100),
+            1e-8,
+        );
         assert!((r.x - 8.0).abs() < 0.05, "found {}", r.x);
     }
 
     #[test]
     fn refine_improves_on_coarse() {
         let f = |x: f64| (x - 3.33).powi(2);
-        let coarse = grid_min_1d(f, GridSpec::new(0.0, 10.0, 10));
-        let refined = refine_grid_1d(f, GridSpec::new(0.0, 10.0, 10), 1e-9);
+        let none = |_: f64| f64::NEG_INFINITY;
+        let coarse = grid_min_1d(f, none, GridSpec::new(0.0, 10.0, 10));
+        let refined = refine_grid_1d(f, none, GridSpec::new(0.0, 10.0, 10), 1e-9);
         assert!(refined.value <= coarse.value);
         assert!((refined.x - 3.33).abs() < 1e-6);
+    }
+
+    #[test]
+    fn floor_stops_the_scan_without_moving_the_minimum() {
+        // f = floor + a well near x = 2; the minimum is ≈ 0.97 at x ≈ 1.9,
+        // and the floor passes it at x ≈ 2, where the scan stops
+        let floor = |x: f64| 0.5 * x;
+        let f = |x: f64| floor(x) + 2.0 - 2.0 / (1.0 + (x - 2.0) * (x - 2.0));
+        let grid = GridSpec::new(0.0, 100.0, 1_000);
+        let calls = std::cell::Cell::new(0usize);
+        let counted = |x: f64| {
+            calls.set(calls.get() + 1);
+            f(x)
+        };
+        let floored = grid_min_1d(counted, floor, grid);
+        assert!(calls.get() < 50, "{} evaluations", calls.get());
+        let full = grid_min_1d(f, |_| f64::NEG_INFINITY, grid);
+        assert_eq!(floored.x.to_bits(), full.x.to_bits());
+        assert_eq!(floored.value.to_bits(), full.value.to_bits());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`golden_section`] — 1-D unimodal refinement;
 //! * [`grid_min_1d`] / [`refine_grid_1d`] — robust global 1-D search by
 //!   exhaustive coarse grid plus local refinement (works for multi-modal
-//!   objectives, which `E_J` can be on rough ECDFs);
+//!   objectives, which `E_J` can be on rough ECDFs); a nondecreasing lower
+//!   bound on the objective stops the scan where no later point can win;
 //! * [`grid_min_2d`] — constrained 2-D multi-resolution grid search used for
 //!   the delayed-resubmission `(t0, t∞)` plane.
 
@@ -16,7 +17,7 @@ mod golden;
 mod grid;
 
 pub use golden::golden_section;
-pub use grid::{grid_min_1d, grid_min_2d, refine_grid_1d, Constraint2d, GridSpec};
+pub use grid::{floor_slack, grid_min_1d, grid_min_2d, refine_grid_1d, Constraint2d, GridSpec};
 
 /// Result of a scalar minimisation: argument and value.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -129,7 +129,7 @@ fn grid_min_never_beaten_by_grid_points() {
         let offset = rng.gen_range(0.0..10.0f64);
         let f = |x: f64| ((x - offset) * 0.7).sin() + 0.01 * x;
         let grid = GridSpec::new(0.0, 20.0, 200);
-        let m = grid_min_1d(f, grid);
+        let m = grid_min_1d(f, |_| f64::NEG_INFINITY, grid);
         for x in grid.points() {
             assert!(f(x) >= m.value - 1e-12, "case {case} at x = {x}");
         }
