@@ -10,7 +10,7 @@ use gridstrat_bench::{model_for, DEFAULT_SEED};
 use gridstrat_core::latency::{EmpiricalModel, LatencyModel, ParametricModel};
 use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
 use gridstrat_stats::rng::derived_rng;
-use gridstrat_stats::{Distribution, Ecdf};
+use gridstrat_stats::{Distribution, Ecdf, LogNormal, Shifted};
 use gridstrat_workload::{WeekId, WeekModel};
 
 fn trace_samples(n: usize) -> Vec<f64> {
@@ -93,6 +93,15 @@ fn bench_tuning_loop(c: &mut Criterion) {
     g.finish();
 }
 
+/// The drift-week prior of the drift sweep, a parametric model: its
+/// delayed kernels come from quadrature, not from ECDF tables.
+fn drift_prior() -> ParametricModel<Shifted<LogNormal>> {
+    let drift = WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0)
+        .expect("the drift week calibrates");
+    ParametricModel::new(drift.body(), drift.rho, drift.threshold_s)
+        .expect("calibrated weeks are valid")
+}
+
 fn bench_expectations(c: &mut Criterion) {
     let model = model_for(WeekId::W2006Ix, DEFAULT_SEED);
     let mut g = c.benchmark_group("expectation");
@@ -119,6 +128,17 @@ fn bench_expectations(c: &mut Criterion) {
                 &model,
                 black_box(339.0),
                 black_box(485.0),
+            ))
+        })
+    });
+    // the drift prior at its 2-D optimum: both overlap kernels by quadrature
+    let prior = drift_prior();
+    g.bench_function("delayed_eq5_parametric", |b| {
+        b.iter(|| {
+            black_box(DelayedResubmission::expectation(
+                &prior,
+                black_box(182.0),
+                black_box(364.0),
             ))
         })
     });
@@ -149,10 +169,7 @@ fn bench_optimizers(c: &mut Criterion) {
     });
     // one θ-table point of the drift sweep: the drift-week prior at θ = 1,
     // along the ratio of its own 2-D optimum
-    let drift = WeekModel::calibrate("drift-week", 570.0, 886.0, 0.20, 60.0, 10_000.0)
-        .expect("the drift week calibrates");
-    let prior = ParametricModel::new(drift.body(), drift.rho, drift.threshold_s)
-        .expect("calibrated weeks are valid");
+    let prior = drift_prior();
     let opt = DelayedResubmission::optimize(&prior);
     let ratio = (opt.t_inf / opt.t0).clamp(1.0, 2.0);
     g.bench_function("delayed_ratio_parametric", |b| {
@@ -166,6 +183,9 @@ fn bench_optimizers(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("delayed_free_2d", |b| {
         b.iter(|| black_box(DelayedResubmission::optimize(&model)))
+    });
+    g.bench_function("delayed_free_2d_parametric", |b| {
+        b.iter(|| black_box(DelayedResubmission::optimize(&prior)))
     });
     g.finish();
 }

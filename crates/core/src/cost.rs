@@ -181,6 +181,8 @@ pub fn optimize_delayed_delta_cost(model: &dyn LatencyModel) -> CostPoint {
     let (lo, hi) = model.plausible_range();
     let coarse = grid_min_2d(
         objective,
+        // A(t0) floors E_J, not ∆cost
+        |_| f64::NEG_INFINITY,
         (lo, hi),
         (lo, (2.0 * hi).min(model.horizon())),
         48,

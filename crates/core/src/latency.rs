@@ -7,9 +7,13 @@
 //!   strategies need is evaluated exactly (step-function algebra);
 //! * [`ParametricModel`] — a fitted body distribution plus outlier mass,
 //!   with adaptive-Simpson quadrature for the same integrals. Useful for
-//!   smoothing rough traces and for closed-form cross-checks.
+//!   smoothing rough traces and for closed-form cross-checks. Its two
+//!   delayed overlap kernels share one quadrature walk
+//!   ([`LatencyModel::overlap_kernels`]).
 
-use gridstrat_stats::integrate::{adaptive_simpson, adaptive_simpson_with_moment};
+use gridstrat_stats::integrate::{
+    adaptive_simpson, adaptive_simpson_shared, adaptive_simpson_with_moment,
+};
 use gridstrat_stats::{Distribution, Ecdf};
 use gridstrat_workload::TraceSet;
 
@@ -29,18 +33,27 @@ pub trait LatencyModel {
     /// `B(t) = ∫₀ᵗ u·(1 - F̃(u)) du`.
     fn moment_survival_integral(&self, t: f64) -> f64;
 
-    /// `(∫₀ᴸ s(u+shift)s(u) du, ∫₀ᴸ u·s(u+shift)s(u) du)` with
-    /// `s = 1 - F̃` — the delayed-resubmission kernels.
-    fn survival_product_integrals(&self, shift: f64, l: f64) -> (f64, f64);
-
     /// `(∫₀ᵗ s(u)ᵇ du, ∫₀ᵗ u·s(u)ᵇ du)` — the multiple-submission kernels.
     fn powered_survival_integrals(&self, b: u32, t: f64) -> (f64, f64);
 
-    /// `(∫₀ᴸ [s(u+shift)s(u)]ᵇ du, ∫₀ᴸ u·[s(u+shift)s(u)]ᵇ du)` — the
-    /// kernels of the *generalized* delayed strategy that submits `b`
-    /// copies per echelon (an extension beyond the paper; `b = 1` recovers
-    /// [`LatencyModel::survival_product_integrals`]).
-    fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64);
+    /// The two kernels of delayed resubmission over its overlap window
+    /// `[0, l]`, `l = t∞ − t0`, with `b` copies per echelon (`b = 1` is the
+    /// paper's strategy, `b > 1` an extension beyond it):
+    /// `((C0, D0), (A(l), B(l)))` with
+    /// `C0 = ∫₀ˡ [s(u+t0)s(u)]ᵇ du`, `D0 = ∫₀ˡ u·[s(u+t0)s(u)]ᵇ du` and
+    /// `(A(l), B(l)) =` [`LatencyModel::powered_survival_integrals`]`(b, l)`.
+    ///
+    /// Both integrate over the same interval, so a quadrature model walks
+    /// it once and evaluates `s(u)` once per abscissa for both; each pair
+    /// is bit for bit what its own walk would return.
+    fn overlap_kernels(&self, b: u32, t0: f64, l: f64) -> ((f64, f64), (f64, f64));
+
+    /// [`LatencyModel::overlap_kernels`] as two separate computations, the
+    /// form it replaced: the bit-identity oracle of the shared walk.
+    #[cfg(test)]
+    fn overlap_kernels_two_call(&self, b: u32, t0: f64, l: f64) -> ((f64, f64), (f64, f64)) {
+        self.overlap_kernels(b, t0, l)
+    }
 
     /// Censoring threshold: timeouts beyond it are meaningless.
     fn horizon(&self) -> f64;
@@ -110,10 +123,6 @@ impl LatencyModel for EmpiricalModel {
         self.ecdf.moment_survival_integral(t)
     }
 
-    fn survival_product_integrals(&self, shift: f64, l: f64) -> (f64, f64) {
-        self.ecdf.survival_product_integrals(shift, l)
-    }
-
     fn powered_survival_integrals(&self, b: u32, t: f64) -> (f64, f64) {
         // O(log n) off the ECDF's cached per-power prefix tables — the
         // timeout-tuning loop queries this once per candidate, so the old
@@ -121,9 +130,13 @@ impl LatencyModel for EmpiricalModel {
         self.ecdf.powered_survival_integrals(b, t)
     }
 
-    fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64) {
-        // allocation-free two-pointer merge over the sample array
-        self.ecdf.powered_survival_product_integrals(b, shift, l)
+    fn overlap_kernels(&self, b: u32, t0: f64, l: f64) -> ((f64, f64), (f64, f64)) {
+        // both exact: an allocation-free two-pointer merge over the sample
+        // array, and the prefix tables
+        (
+            self.ecdf.powered_survival_product_integrals(b, t0, l),
+            self.ecdf.powered_survival_integrals(b, l),
+        )
     }
 
     fn horizon(&self) -> f64 {
@@ -206,20 +219,6 @@ impl<D: Distribution> LatencyModel for ParametricModel<D> {
         adaptive_simpson(|u| u * self.survival(u), 0.0, t, QUAD_TOL)
     }
 
-    fn survival_product_integrals(&self, shift: f64, l: f64) -> (f64, f64) {
-        if l <= 0.0 {
-            return (0.0, 0.0);
-        }
-        // one fused pass: the body-CDF evaluations dominate, and the
-        // integral and its moment share every abscissa
-        adaptive_simpson_with_moment(
-            |u| self.survival(u + shift) * self.survival(u),
-            0.0,
-            l,
-            QUAD_TOL,
-        )
-    }
-
     fn powered_survival_integrals(&self, b: u32, t: f64) -> (f64, f64) {
         if t <= 0.0 {
             return (0.0, 0.0);
@@ -228,17 +227,35 @@ impl<D: Distribution> LatencyModel for ParametricModel<D> {
         adaptive_simpson_with_moment(|u| self.survival(u).powi(b), 0.0, t, QUAD_TOL)
     }
 
-    fn powered_survival_product_integrals(&self, b: u32, shift: f64, l: f64) -> (f64, f64) {
+    fn overlap_kernels(&self, b: u32, t0: f64, l: f64) -> ((f64, f64), (f64, f64)) {
         if l <= 0.0 {
-            return (0.0, 0.0);
+            return ((0.0, 0.0), (0.0, 0.0));
         }
         let b = b as i32;
-        adaptive_simpson_with_moment(
-            |u| (self.survival(u + shift) * self.survival(u)).powi(b),
+        adaptive_simpson_shared(
+            |u| self.survival(u),
+            |u, su| (self.survival(u + t0) * su).powi(b),
+            |_, su| su.powi(b),
             0.0,
             l,
             QUAD_TOL,
         )
+    }
+
+    #[cfg(test)]
+    fn overlap_kernels_two_call(&self, b: u32, t0: f64, l: f64) -> ((f64, f64), (f64, f64)) {
+        let product = if l <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            let b = b as i32;
+            adaptive_simpson_with_moment(
+                |u| (self.survival(u + t0) * self.survival(u)).powi(b),
+                0.0,
+                l,
+                QUAD_TOL,
+            )
+        };
+        (product, self.powered_survival_integrals(b, l))
     }
 
     fn horizon(&self) -> f64 {
@@ -369,10 +386,66 @@ mod tests {
         let xs = body.sample_n(&mut rng, 60_000);
         let emp = EmpiricalModel::from_samples(&xs, 1e5).unwrap();
         let par = ParametricModel::new(body, 0.0, 1e5).unwrap();
-        let (ce, de) = emp.survival_product_integrals(200.0, 400.0);
-        let (cp, dp) = par.survival_product_integrals(200.0, 400.0);
+        let ((ce, de), _) = emp.overlap_kernels(1, 200.0, 400.0);
+        let ((cp, dp), _) = par.overlap_kernels(1, 200.0, 400.0);
         assert!((ce - cp).abs() / cp < 0.02, "C: emp {ce} par {cp}");
         assert!((de - dp).abs() / dp < 0.02, "D: emp {de} par {dp}");
+    }
+
+    #[test]
+    fn overlap_kernels_are_bit_identical_to_two_separate_walks() {
+        use gridstrat_stats::{Pareto, Shifted, Weibull};
+        let drift = gridstrat_workload::WeekModel::calibrate(
+            "drift-week",
+            570.0,
+            886.0,
+            0.20,
+            60.0,
+            10_000.0,
+        )
+        .unwrap();
+        let mut models: Vec<(String, Box<dyn LatencyModel>)> = [0.1, 1.0, 3.0, 20.0]
+            .into_iter()
+            .map(|theta| {
+                let law = drift.modulated(theta, theta);
+                let m = ParametricModel::new(law.body(), law.rho, law.threshold_s).unwrap();
+                (
+                    format!("drift θ = {theta}"),
+                    Box::new(m) as Box<dyn LatencyModel>,
+                )
+            })
+            .collect();
+        let heavy = Shifted::new(LogNormal::from_mean_std(360.0, 880.0).unwrap(), 150.0).unwrap();
+        models.push((
+            "heavy".into(),
+            Box::new(ParametricModel::new(heavy, 0.05, 1e4).unwrap()),
+        ));
+        models.push((
+            "weibull".into(),
+            Box::new(ParametricModel::new(Weibull::new(0.7, 400.0).unwrap(), 0.1, 1e4).unwrap()),
+        ));
+        // the Pareto CDF has a kink at its scale, inside every window
+        models.push((
+            "pareto".into(),
+            Box::new(ParametricModel::new(Pareto::new(200.0, 1.5).unwrap(), 0.1, 1e4).unwrap()),
+        ));
+        for (name, m) in &models {
+            let (lo, hi) = m.plausible_range();
+            for b in 1..=3 {
+                for i in 0..=16 {
+                    let t0 = lo + (hi - lo) * i as f64 / 16.0;
+                    for l in [0.0, 1e-9, 1.0, 0.1 * t0, 0.5 * t0, 0.77 * t0, t0] {
+                        let ((c, d), (a, bl)) = m.overlap_kernels(b, t0, l);
+                        let ((oc, od), (oa, ob)) = m.overlap_kernels_two_call(b, t0, l);
+                        assert_eq!(
+                            [c, d, a, bl].map(f64::to_bits),
+                            [oc, od, oa, ob].map(f64::to_bits),
+                            "{name}, b = {b}, t0 = {t0}, l = {l}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

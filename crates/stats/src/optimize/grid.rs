@@ -111,8 +111,18 @@ pub type Constraint2d<'a> = &'a dyn Fn(f64, f64) -> bool;
 /// size by a factor of `resolution / 2` (24× at a resolution of 48).
 /// Deterministic and constraint-safe (infeasible points are skipped,
 /// never evaluated).
+///
+/// `row_floor(x)` must be nondecreasing in `x` and at most `f(x, y)` for
+/// every feasible `y`, up to [`floor_slack`]. Each round walks its rows in
+/// increasing `x` and stops at the first row whose floor exceeds the
+/// *round's own* incumbent by more than the slack; up to there the round
+/// is exhaustive, so under the strict `<` rule it returns the exhaustive
+/// round's point, and every zoom box is the same, bit for bit. A round
+/// that stops has a point, so the floor never ends the search early.
+/// `|_| f64::NEG_INFINITY` never stops a round.
 pub fn grid_min_2d(
     f: impl Fn(f64, f64) -> f64,
+    row_floor: impl Fn(f64) -> f64,
     x_range: (f64, f64),
     y_range: (f64, f64),
     resolution: usize,
@@ -130,6 +140,9 @@ pub fn grid_min_2d(
         let mut improved: Option<Min2d> = None;
         for i in 0..=resolution {
             let x = x_lo + i as f64 * dx;
+            if improved.is_some_and(|b| row_floor(x) > b.value + floor_slack(b.value)) {
+                break;
+            }
             for j in 0..=resolution {
                 let y = y_lo + j as f64 * dy;
                 if !feasible(x, y) {
@@ -224,7 +237,16 @@ mod tests {
     fn grid_2d_quadratic_bowl() {
         let f = |x: f64, y: f64| (x - 1.5) * (x - 1.5) + (y - 2.5) * (y - 2.5);
         let all = |_: f64, _: f64| true;
-        let r = grid_min_2d(f, (0.0, 5.0), (0.0, 5.0), 20, 8, &all).unwrap();
+        let r = grid_min_2d(
+            f,
+            |_| f64::NEG_INFINITY,
+            (0.0, 5.0),
+            (0.0, 5.0),
+            20,
+            8,
+            &all,
+        )
+        .unwrap();
         assert!((r.x - 1.5).abs() < 0.02, "x {}", r.x);
         assert!((r.y - 2.5).abs() < 0.02, "y {}", r.y);
     }
@@ -234,16 +256,51 @@ mod tests {
         // minimise x+y but require y > x + 1
         let f = |x: f64, y: f64| x + y;
         let c = |x: f64, y: f64| y > x + 1.0;
-        let r = grid_min_2d(f, (0.0, 4.0), (0.0, 4.0), 40, 4, &c).unwrap();
+        let r = grid_min_2d(f, |_| f64::NEG_INFINITY, (0.0, 4.0), (0.0, 4.0), 40, 4, &c).unwrap();
         assert!(r.y > r.x + 1.0);
         assert!(r.x < 0.2 && r.y < 1.4, "({}, {})", r.x, r.y);
+    }
+
+    #[test]
+    fn row_floor_stops_a_round_without_moving_the_minimum() {
+        // f = floor + a bowl, minimal at (1.75, 3): round 0 stops once 0.5·x passes its
+        // incumbent, and every zoom round keeps a point
+        let floor = |x: f64| 0.5 * x;
+        let f = |x: f64, y: f64| floor(x) + (x - 2.0).powi(2) + (y - 3.0).powi(2);
+        let c = |x: f64, y: f64| y >= x;
+        let calls = std::cell::Cell::new(0usize);
+        let counted = |x: f64, y: f64| {
+            calls.set(calls.get() + 1);
+            f(x, y)
+        };
+        let floored = grid_min_2d(counted, floor, (0.0, 100.0), (0.0, 100.0), 50, 6, &c).unwrap();
+        let cut = calls.replace(0);
+        let full = grid_min_2d(
+            counted,
+            |_| f64::NEG_INFINITY,
+            (0.0, 100.0),
+            (0.0, 100.0),
+            50,
+            6,
+            &c,
+        )
+        .unwrap();
+        // round 0 stops after a few of its 51 rows (1,326 feasible points);
+        // the zoom boxes around (1.75, 3) lie below the floor's reach
+        let saved = calls.get() - cut;
+        assert!(saved > 1_000, "{cut} of {} evaluations", calls.get());
+        for (a, b) in [(floored.x, full.x), (floored.y, full.y)] {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(floored.value.to_bits(), full.value.to_bits());
+        assert!((floored.x - 1.75).abs() < 0.01 && (floored.y - 3.0).abs() < 0.01);
     }
 
     #[test]
     fn grid_2d_all_infeasible_returns_none() {
         let f = |x: f64, y: f64| x + y;
         let c = |_: f64, _: f64| false;
-        assert!(grid_min_2d(f, (0.0, 1.0), (0.0, 1.0), 4, 2, &c).is_none());
+        assert!(grid_min_2d(f, |_| f64::NEG_INFINITY, (0.0, 1.0), (0.0, 1.0), 4, 2, &c).is_none());
     }
 
     #[test]
@@ -251,7 +308,16 @@ mod tests {
         // the delayed-resubmission feasible region: 0 < t0 < t∞ < 2 t0
         let f = |t0: f64, ti: f64| (t0 - 339.0).powi(2) + (ti - 485.0).powi(2);
         let c = |t0: f64, ti: f64| t0 > 0.0 && t0 < ti && ti < 2.0 * t0;
-        let r = grid_min_2d(f, (1.0, 1000.0), (1.0, 1000.0), 50, 10, &c).unwrap();
+        let r = grid_min_2d(
+            f,
+            |_| f64::NEG_INFINITY,
+            (1.0, 1000.0),
+            (1.0, 1000.0),
+            50,
+            10,
+            &c,
+        )
+        .unwrap();
         assert!((r.x - 339.0).abs() < 1.0);
         assert!((r.y - 485.0).abs() < 1.0);
     }

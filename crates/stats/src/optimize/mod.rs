@@ -11,7 +11,8 @@
 //!   objectives, which `E_J` can be on rough ECDFs); a nondecreasing lower
 //!   bound on the objective stops the scan where no later point can win;
 //! * [`grid_min_2d`] — constrained 2-D multi-resolution grid search used for
-//!   the delayed-resubmission `(t0, t∞)` plane.
+//!   the delayed-resubmission `(t0, t∞)` plane; a nondecreasing lower bound
+//!   per row stops a round where no later row can win.
 
 mod golden;
 mod grid;

@@ -144,7 +144,16 @@ fn grid_min_2d_respects_feasibility() {
         let cy = rng.gen_range(1.0..9.0f64);
         let f = move |x: f64, y: f64| (x - cx).powi(2) + (y - cy).powi(2);
         let feas = |x: f64, y: f64| y >= x; // upper triangle
-        let m = grid_min_2d(f, (0.0, 10.0), (0.0, 10.0), 24, 6, &feas).unwrap();
+        let m = grid_min_2d(
+            f,
+            |_| f64::NEG_INFINITY,
+            (0.0, 10.0),
+            (0.0, 10.0),
+            24,
+            6,
+            &feas,
+        )
+        .unwrap();
         assert!(m.y >= m.x, "case {case}");
         // optimal value is the projection onto the feasible set
         let want = if cy >= cx {

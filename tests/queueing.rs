@@ -6,7 +6,8 @@
 //!
 //! - the mean wait for one slot, by the Pollaczek–Khinchine formula
 //!   `W = λE[S²] / (2(1 − ρ))`, with `ρ = λE[S]`;
-//! - the utilisation of the slots, `λE[S]/c`, for any `c`.
+//! - the utilisation of the slots, `λE[S]/c`, for any `c`;
+//! - Little's law `L = λW` for the waiting line, for any `c`.
 //!
 //! Every run starts empty, so the first tenth of its horizon is dropped as
 //! warm-up, and waits are counted for arrivals before nine tenths, which
@@ -16,6 +17,12 @@
 //! not the i.i.d. error of the individual waits. The seeds are fixed; a
 //! correct engine lands outside `Z = 4` with probability below 0.1% (a
 //! Student t with 19 degrees of freedom).
+//!
+//! Client jobs on the same pipeline meet two faults with configured
+//! probabilities: a silent loss at submission, and a transient failure on
+//! arrival at the WMS. Their counts are binomial, and each is checked
+//! within `Z` of its binomial standard deviation (a normal tail below
+//! 0.01% at `Z = 4`).
 
 use gridstrat::sim::{
     BackgroundLoadConfig, Controller, GridConfig, GridSimulation, Notification, SimDuration,
@@ -100,6 +107,22 @@ impl Farm {
         (0..BATCHES).map(|b| sum[b] / n[b] as f64).collect()
     }
 
+    /// Time-average number of jobs waiting in the batch queue, per batch.
+    fn queue_length_batches(&self) -> Vec<f64> {
+        let (lo, hi) = (0.1 * self.horizon, 0.9 * self.horizon);
+        let width = (hi - lo) / BATCHES as f64;
+        let mut waiting = [0.0; BATCHES];
+        for job in self.sim.jobs() {
+            let arrived = job.submitted_at().as_secs();
+            let started = job.started_at().map_or(self.horizon, |t| t.as_secs());
+            for (b, job_time) in waiting.iter_mut().enumerate() {
+                let (b_lo, b_hi) = (lo + b as f64 * width, lo + (b + 1) as f64 * width);
+                *job_time += (started.min(b_hi) - arrived.max(b_lo)).max(0.0);
+            }
+        }
+        waiting.iter().map(|&t| t / width).collect()
+    }
+
     /// Busy share of the slots per batch.
     fn utilisation_batches(&self) -> Vec<f64> {
         let (lo, hi) = (0.1 * self.horizon, 0.9 * self.horizon);
@@ -171,4 +194,98 @@ fn utilisation_is_offered_load_per_slot() {
         );
         assert!(tol < 0.015, "tolerance {tol} too loose");
     }
+}
+
+#[test]
+fn little_law_holds_for_the_waiting_line() {
+    // c = 8 at ρ = 0.75: per batch, the time-average number of waiting
+    // jobs L less λ times the mean wait W of the batch's arrivals
+    let farm = Farm::run(8, 0.75, 1.0, 240_000.0, 0x9E5);
+    let lengths = farm.queue_length_batches();
+    let waits = farm.wait_batches();
+    let gaps: Vec<f64> = lengths
+        .iter()
+        .zip(&waits)
+        .map(|(l, w)| l - farm.lambda * w)
+        .collect();
+    let tol = assert_within("L − λW at c = 8, ρ = 0.75", &gaps, 0.0);
+    let mean_length = lengths.iter().sum::<f64>() / BATCHES as f64;
+    assert!(
+        tol < 0.05 * mean_length,
+        "tolerance {tol} too loose for L = {mean_length}"
+    );
+}
+
+/// A client that submits `n` probes at once and waits `wait_s` seconds.
+struct Burst {
+    n: usize,
+    wait_s: f64,
+    over: bool,
+}
+
+impl Controller for Burst {
+    fn start(&mut self, sim: &mut GridSimulation) {
+        for _ in 0..self.n {
+            sim.submit();
+        }
+        sim.set_timer(SimDuration::from_secs(self.wait_s), 0);
+    }
+    fn on_event(&mut self, _: &mut GridSimulation, ev: Notification) {
+        if let Notification::Timer { .. } = ev {
+            self.over = true;
+        }
+    }
+    fn done(&self) -> bool {
+        self.over
+    }
+}
+
+/// Asserts that `k` of `n` trials is within `Z` binomial standard
+/// deviations of `n·p`.
+fn assert_binomial(what: &str, k: u64, n: u64, p: f64) {
+    let (k, n) = (k as f64, n as f64);
+    let tol = Z * (n * p * (1.0 - p)).sqrt();
+    assert!(
+        (k - n * p).abs() <= tol,
+        "{what}: {k} of {n} against {}, tolerance {tol} (z = {Z})",
+        n * p
+    );
+    // the check must tell the configured probability from a third more
+    assert!(tol < n * p / 3.0, "{what}: tolerance {tol} too loose");
+}
+
+#[test]
+fn client_fault_fractions_are_binomial() {
+    // 40,000 probes on the default pipeline grid without background load;
+    // every failure has surfaced long before the client stops waiting
+    let mut cfg = GridConfig::pipeline_default();
+    cfg.background = None;
+    let faults = cfg.faults;
+    let mut sim = GridSimulation::new(cfg, 0x9E6).expect("valid grid");
+    let n = 40_000;
+    sim.run_controller(&mut Burst {
+        n,
+        wait_s: 100_000.0,
+        over: false,
+    });
+    let stats = sim.stats();
+    assert_eq!(stats.client_submitted, n as u64);
+    assert_eq!(
+        stats.client_started + stats.client_failed + stats.client_stuck,
+        n as u64,
+        "every probe starts, fails or is lost"
+    );
+    assert_binomial(
+        "silent losses among submissions",
+        stats.client_stuck,
+        n as u64,
+        faults.p_silent_loss,
+    );
+    // a transient failure is drawn only for the probes that reach the WMS
+    assert_binomial(
+        "transient failures among arrivals at the WMS",
+        stats.client_failed,
+        n as u64 - stats.client_stuck,
+        faults.p_transient_failure,
+    );
 }
