@@ -1,14 +1,16 @@
 //! Criterion benches for the numerical kernels behind the strategy models:
 //! ECDF construction and integral queries, the eq. 1–5 evaluations, and the
-//! optimizers. These are the operations a client-side scheduler would run
+//! optimizers. Eqs. 1–4 are the echelon law at `t0 = t∞` (the ids keep the
+//! paper's equation numbers, so runs line up across commits). These are the operations a client-side scheduler would run
 //! online, so their costs matter beyond reproduction. The `sampling` group
 //! times the pieces of one Monte-Carlo trial below the executor: seed
 //! derivation and latency draws.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gridstrat_bench::{model_for, DEFAULT_SEED};
+use gridstrat_core::cost::StrategyParams;
 use gridstrat_core::latency::{EmpiricalModel, LatencyModel, ParametricModel};
-use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+use gridstrat_core::strategy::{optimize_timeout, DelayedResubmission, Strategy};
 use gridstrat_stats::rng::derived_rng;
 use gridstrat_stats::{Distribution, Ecdf, LogNormal, Shifted};
 use gridstrat_workload::{WeekId, WeekModel};
@@ -106,19 +108,35 @@ fn bench_expectations(c: &mut Criterion) {
     let model = model_for(WeekId::W2006Ix, DEFAULT_SEED);
     let mut g = c.benchmark_group("expectation");
     g.bench_function("single_eq1", |b| {
-        b.iter(|| black_box(SingleResubmission::expectation(&model, black_box(600.0))))
+        b.iter(|| {
+            black_box(
+                StrategyParams::Single {
+                    t_inf: black_box(600.0),
+                }
+                .expected_j(&model),
+            )
+        })
     });
     g.bench_function("single_eq2_sigma", |b| {
-        b.iter(|| black_box(SingleResubmission::std_dev(&model, black_box(600.0))))
+        b.iter(|| {
+            black_box(
+                StrategyParams::Single {
+                    t_inf: black_box(600.0),
+                }
+                .std_j(&model),
+            )
+        })
     });
     for bb in [2u32, 5, 10] {
         g.bench_with_input(BenchmarkId::new("multiple_eq3", bb), &bb, |bch, &bb| {
             bch.iter(|| {
-                black_box(MultipleSubmission::expectation(
-                    &model,
-                    bb,
-                    black_box(800.0),
-                ))
+                black_box(
+                    StrategyParams::Multiple {
+                        b: bb,
+                        t_inf: black_box(800.0),
+                    }
+                    .expected_j(&model),
+                )
             })
         });
     }
@@ -159,10 +177,10 @@ fn bench_optimizers(c: &mut Criterion) {
     let mut g = c.benchmark_group("optimize");
     g.sample_size(20);
     g.bench_function("single_optimal_timeout", |b| {
-        b.iter(|| black_box(SingleResubmission::optimize(&model)))
+        b.iter(|| black_box(optimize_timeout(&model, 1)))
     });
     g.bench_function("multiple_b5_optimal_timeout", |b| {
-        b.iter(|| black_box(MultipleSubmission::optimize(&model, 5)))
+        b.iter(|| black_box(optimize_timeout(&model, 5)))
     });
     g.bench_function("delayed_ratio_1_3", |b| {
         b.iter(|| black_box(DelayedResubmission::optimize_with_ratio(&model, 1.3)))

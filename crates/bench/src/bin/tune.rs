@@ -15,7 +15,7 @@
 
 use gridstrat_core::cost::{optimize_delayed_delta_cost, StrategyParams};
 use gridstrat_core::latency::EmpiricalModel;
-use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+use gridstrat_core::strategy::{optimize_timeout, DelayedResubmission};
 use gridstrat_stats::bootstrap::bootstrap_ci;
 use gridstrat_stats::hazard::HazardProfile;
 use gridstrat_workload::observatory::parse_observatory;
@@ -113,14 +113,14 @@ fn main() -> ExitCode {
 
     // 2. strategy tuning
     let model = EmpiricalModel::from_ecdf(ecdf);
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     println!("\ntuned strategies (predicted on this trace):");
     println!(
         "  single resubmission : t∞ = {:>5.0}s   E_J = {:>5.0}s  σ_J = {:>5.0}s",
         single.timeout, single.expectation, single.std_dev
     );
     for b in [2u32, 3, 5] {
-        let multi = MultipleSubmission::optimize(&model, b);
+        let multi = optimize_timeout(&model, b);
         println!(
             "  multiple (b = {b})    : t∞ = {:>5.0}s   E_J = {:>5.0}s  σ_J = {:>5.0}s  (load ×{b})",
             multi.timeout, multi.expectation, multi.std_dev
@@ -153,7 +153,7 @@ fn main() -> ExitCode {
     let ci = bootstrap_ci(
         &raw,
         |xs| match EmpiricalModel::from_samples(xs, thr) {
-            Ok(m) => SingleResubmission::optimize(&m).expectation,
+            Ok(m) => optimize_timeout(&m, 1).expectation,
             Err(_) => f64::INFINITY,
         },
         200,

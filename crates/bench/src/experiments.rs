@@ -11,7 +11,7 @@ use gridstrat_core::cost::{
 use gridstrat_core::latency::EmpiricalModel;
 use gridstrat_core::report::{fixed, pct1, secs0, Table};
 use gridstrat_core::stability::stability_radius;
-use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+use gridstrat_core::strategy::{optimize_timeout, DelayedResubmission, Strategy, Timeout1d};
 use gridstrat_core::transfer::transfer_matrix;
 use gridstrat_stats::rng::derived_rng;
 use gridstrat_workload::{WeekId, CENSOR_THRESHOLD_S};
@@ -59,7 +59,7 @@ pub fn table1(seed: u64) -> Vec<Table> {
     for week in WeekId::ALL {
         let trace = week.generate(seed);
         let model = EmpiricalModel::from_trace(&trace).expect("valid trace");
-        let opt = SingleResubmission::optimize(&model);
+        let opt = optimize_timeout(&model, 1);
         let sigma_r = trace.body_std();
         let row = week.paper_row();
         t.push_row(vec![
@@ -92,7 +92,7 @@ pub fn figure2(seed: u64) -> Vec<Table> {
     while x <= 2_000.0 {
         let mut row = vec![fixed(x, 0)];
         for b in 1..=10u32 {
-            let e = MultipleSubmission::expectation(&model, b, x);
+            let e = StrategyParams::Multiple { b, t_inf: x }.expected_j(&model);
             row.push(if e.is_finite() {
                 fixed(e, 1)
             } else {
@@ -109,7 +109,8 @@ pub fn figure2(seed: u64) -> Vec<Table> {
 /// with the paper's improvement columns.
 pub fn table2(seed: u64) -> Vec<Table> {
     let model = model_for(WeekId::W2006Ix, seed);
-    let series = MultipleSubmission::optimal_series(&model, &(1..=20).collect::<Vec<u32>>());
+    let series: Vec<(u32, Timeout1d)> =
+        (1..=20).map(|b| (b, optimize_timeout(&model, b))).collect();
     let e1 = series[0].1.expectation;
     let mut t = Table::new(
         "Table 2 — multiple submission on 2006-IX: optimal t∞ and best E_J per b",
@@ -170,10 +171,9 @@ pub fn figure3(seed: u64) -> Vec<Table> {
     );
     for week in WeekId::ALL {
         let model = model_for(week, seed);
-        let series = MultipleSubmission::optimal_series(&model, &(1..=10).collect::<Vec<u32>>());
         let mut row_e = vec![week.name().to_string()];
         let mut row_s = vec![week.name().to_string()];
-        for (_, out) in &series {
+        for out in (1..=10).map(|b| optimize_timeout(&model, b)) {
             row_e.push(fixed(out.expectation, 0));
             row_s.push(fixed(out.std_dev, 0));
         }
@@ -312,7 +312,7 @@ pub const RATIOS: [f64; 10] = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
 /// single resubmission.
 pub fn table3(seed: u64) -> Vec<Table> {
     let model = model_for(WeekId::W2006Ix, seed);
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     let mut t = Table::new(
         format!(
             "Table 3 — delayed resubmission per ratio t∞/t0 (2006-IX); single-resub E_J = {}",
@@ -363,7 +363,7 @@ pub fn figure6(seed: u64) -> Vec<Table> {
         ]);
     }
     for b in 1..=5u32 {
-        let out = MultipleSubmission::optimize(&model, b);
+        let out = optimize_timeout(&model, b);
         t.push_row(vec![
             "multiple".into(),
             fixed(b as f64, 3),
@@ -377,7 +377,7 @@ pub fn figure6(seed: u64) -> Vec<Table> {
 /// system per completed task (`N_// · E_J`), strategy by strategy.
 pub fn figure7(seed: u64) -> Vec<Table> {
     let model = model_for(WeekId::W2006Ix, seed);
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     let mut t = Table::new(
         "Figure 7 — infrastructure load per task: N_// · E_J (2006-IX)",
         &["strategy", "E_J", "N_//", "job·seconds", "vs single"],
@@ -390,7 +390,7 @@ pub fn figure7(seed: u64) -> Vec<Table> {
         pct1(0.0),
     ]);
     for b in [2u32, 4] {
-        let out = MultipleSubmission::optimize(&model, b);
+        let out = optimize_timeout(&model, b);
         let load = b as f64 * out.expectation;
         t.push_row(vec![
             format!("multiple b={b}"),
@@ -416,7 +416,7 @@ pub fn figure7(seed: u64) -> Vec<Table> {
 /// the multiple strategy per b (right half), on 2006-IX.
 pub fn table4(seed: u64) -> Vec<Table> {
     let model = model_for(WeekId::W2006Ix, seed);
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
 
     let mut left = Table::new(
         format!(
@@ -516,7 +516,7 @@ pub fn table5(seed: u64) -> Vec<Table> {
     );
     for week in table5_weeks() {
         let model = model_for(week, seed);
-        let single = SingleResubmission::optimize(&model);
+        let single = optimize_timeout(&model, 1);
         let best = optimize_delayed_delta_cost(&model);
         let (t0, ti) = match best.params {
             StrategyParams::Delayed { t0, t_inf } => (t0, t_inf),
@@ -692,11 +692,11 @@ pub fn scenario_sweep(seed: u64) -> Vec<Table> {
 
     let tuning = model_for(WeekId::W2006Ix, seed);
     let single = StrategyParams::Single {
-        t_inf: SingleResubmission::optimize(&tuning).timeout,
+        t_inf: optimize_timeout(&tuning, 1).timeout,
     };
     let multi = StrategyParams::Multiple {
         b: 3,
-        t_inf: MultipleSubmission::optimize(&tuning, 3).timeout,
+        t_inf: optimize_timeout(&tuning, 3).timeout,
     };
     let delayed = optimize_delayed_delta_cost(&tuning).params;
 
@@ -779,10 +779,13 @@ pub fn model_fits(seed: u64) -> Vec<Table> {
         let fitted = ParametricModel::new(best.model, rho, CENSOR_THRESHOLD_S)
             .expect("fitted model is valid");
 
-        let ecdf_opt = SingleResubmission::optimize(&empirical);
-        let fit_opt = SingleResubmission::optimize(&fitted);
+        let ecdf_opt = optimize_timeout(&empirical, 1);
+        let fit_opt = optimize_timeout(&fitted, 1);
         // evaluate the fit-tuned timeout under the empirical ground truth
-        let realized = SingleResubmission::expectation(&empirical, fit_opt.timeout);
+        let realized = StrategyParams::Single {
+            t_inf: fit_opt.timeout,
+        }
+        .expected_j(&empirical);
         t.push_row(vec![
             week.name().to_string(),
             best.model.family().to_string(),
@@ -816,13 +819,13 @@ pub fn bootstrap_week_ci(seed: u64) -> Vec<Table> {
         let threshold = trace.threshold_s;
         let opt_ej = |xs: &[f64]| -> f64 {
             match EmpiricalModel::from_samples(xs, threshold) {
-                Ok(m) => SingleResubmission::optimize(&m).expectation,
+                Ok(m) => optimize_timeout(&m, 1).expectation,
                 Err(_) => f64::INFINITY,
             }
         };
         let opt_t = |xs: &[f64]| -> f64 {
             match EmpiricalModel::from_samples(xs, threshold) {
-                Ok(m) => SingleResubmission::optimize(&m).timeout,
+                Ok(m) => optimize_timeout(&m, 1).timeout,
                 Err(_) => f64::INFINITY,
             }
         };
@@ -899,7 +902,7 @@ pub fn nonstationary_stress(seed: u64) -> Vec<Table> {
             DiurnalModel::new(base.clone(), amplitude, 86_400.0).expect("valid diurnal parameters");
         let trace = diurnal.generate(9_000, seed ^ 0xD1);
         let global = EmpiricalModel::from_trace(&trace).expect("valid trace");
-        let global_opt = SingleResubmission::optimize(&global);
+        let global_opt = optimize_timeout(&global, 1);
 
         // split records by submission phase: rising half (peak) vs falling
         for (label, lo, hi) in [("peak", 0.0, 0.5), ("trough", 0.5, 1.0)] {
@@ -917,8 +920,11 @@ pub fn nonstationary_stress(seed: u64) -> Vec<Table> {
             }
             let phase_model = EmpiricalModel::from_samples(&phase_samples, trace.threshold_s)
                 .expect("phase sample is non-degenerate");
-            let at_global = SingleResubmission::expectation(&phase_model, global_opt.timeout);
-            let phase_opt = SingleResubmission::optimize(&phase_model);
+            let at_global = StrategyParams::Single {
+                t_inf: global_opt.timeout,
+            }
+            .expected_j(&phase_model);
+            let phase_opt = optimize_timeout(&phase_model, 1);
             t.push_row(vec![
                 fixed(amplitude, 1),
                 label.to_string(),
@@ -1010,13 +1016,15 @@ mod tests {
     #[test]
     fn table2_expectation_strictly_decreasing_in_b() {
         let model = model_for(WeekId::W2006Ix, SEED);
-        let series = MultipleSubmission::optimal_series(&model, &[1, 2, 5, 10, 20]);
+        let series: Vec<f64> = [1, 2, 5, 10, 20]
+            .map(|b| optimize_timeout(&model, b).expectation)
+            .to_vec();
         for w in series.windows(2) {
-            assert!(w[1].1.expectation < w[0].1.expectation);
+            assert!(w[1] < w[0]);
         }
         // paper shape: b=2 cuts E_J by 20–45%, b=10 by 45–70%
-        let drop2 = 1.0 - series[1].1.expectation / series[0].1.expectation;
-        let drop10 = 1.0 - series[3].1.expectation / series[0].1.expectation;
+        let drop2 = 1.0 - series[1] / series[0];
+        let drop10 = 1.0 - series[3] / series[0];
         assert!((0.20..0.45).contains(&drop2), "b=2 drop {drop2}");
         assert!((0.45..0.70).contains(&drop10), "b=10 drop {drop10}");
     }

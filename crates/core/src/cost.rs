@@ -16,7 +16,7 @@
 //! always costs `> 1` (1.3 at `b = 2`, growing ≈ linearly).
 
 use crate::latency::LatencyModel;
-use crate::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission, Strategy};
+use crate::strategy::{optimize_timeout, DelayedResubmission, Strategy};
 use gridstrat_stats::optimize::grid_min_2d;
 
 /// One point of a cost profile (Tables 3–4, Fig. 8).
@@ -121,7 +121,7 @@ pub fn cost_point(
 /// (the protocol behind Tables 3–4's left half and Fig. 8's solid curve):
 /// for each ratio, minimise `E_J`, then report `N_//(E_J)` and `∆cost`.
 pub fn delayed_cost_profile(model: &dyn LatencyModel, ratios: &[f64]) -> Vec<CostPoint> {
-    let single = SingleResubmission::optimize(model);
+    let single = optimize_timeout(model, 1);
     ratios
         .iter()
         .map(|&r| {
@@ -138,12 +138,12 @@ pub fn delayed_cost_profile(model: &dyn LatencyModel, ratios: &[f64]) -> Vec<Cos
 /// Cost profile of the multiple strategy over collection sizes
 /// (Table 4's right half and Fig. 8's dashed curve). `N_// = b` exactly.
 pub fn multiple_cost_profile(model: &dyn LatencyModel, bs: &[u32]) -> Vec<CostPoint> {
-    let single = SingleResubmission::optimize(model);
+    let single = optimize_timeout(model, 1);
     bs.iter()
         .map(|&b| {
             let tuned = StrategyParams::Multiple {
                 b,
-                t_inf: MultipleSubmission::optimize(model, b).timeout,
+                t_inf: optimize_timeout(model, b).timeout,
             };
             cost_point(model, tuned, single.expectation)
         })
@@ -168,7 +168,7 @@ pub fn delayed_delta_cost_at(
 /// A continuous multi-resolution grid search locates the basin, then an
 /// exhaustive integer scan of a ±12 s box (with `t∞ ≥ t0 + 1`) finishes.
 pub fn optimize_delayed_delta_cost(model: &dyn LatencyModel) -> CostPoint {
-    let single = SingleResubmission::optimize(model);
+    let single = optimize_timeout(model, 1);
     let e1 = single.expectation;
     let objective = |t0: f64, ti: f64| {
         let out = DelayedResubmission::evaluate(model, t0, ti);
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn single_resubmission_costs_one_by_definition() {
         let m = heavy_model();
-        let single = SingleResubmission::optimize(&m);
+        let single = optimize_timeout(&m, 1);
         let dc = delta_cost(1.0, single.expectation, single.expectation);
         assert!((dc - 1.0).abs() < 1e-12);
     }
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn delta_cost_at_explicit_pair_is_consistent() {
         let m = heavy_model();
-        let single = SingleResubmission::optimize(&m);
+        let single = optimize_timeout(&m, 1);
         let p = delayed_delta_cost_at(&m, 400.0, 520.0, single.expectation);
         assert!(p.expectation.is_finite());
         let manual = p.n_parallel * p.expectation / single.expectation;

@@ -733,7 +733,7 @@ impl Controller for EchelonCtrl {
 mod tests {
     use super::*;
     use crate::latency::EmpiricalModel;
-    use crate::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+    use crate::strategy::optimize_timeout;
     use crate::LatencyModel;
 
     fn week() -> WeekModel {
@@ -758,8 +758,9 @@ mod tests {
         let w = week();
         let m = reference_model(&w);
         let t_inf = 700.0;
-        let analytic = SingleResubmission::expectation(&m, t_inf);
-        let mc = StrategyExecutor::new(w, cfg(6_000)).run(StrategyParams::Single { t_inf });
+        let spec = StrategyParams::Single { t_inf };
+        let analytic = spec.expected_j(&m);
+        let mc = StrategyExecutor::new(w, cfg(6_000)).run(spec);
         assert_eq!(mc.completed_trials, 6_000);
         let z = (mc.mean_j - analytic).abs() / mc.stderr_j;
         assert!(z < 4.0, "MC {} vs analytic {analytic} (z = {z})", mc.mean_j);
@@ -780,8 +781,9 @@ mod tests {
         let w = week();
         let m = reference_model(&w);
         let (b, t_inf) = (3u32, 800.0);
-        let analytic = MultipleSubmission::expectation(&m, b, t_inf);
-        let mc = StrategyExecutor::new(w, cfg(6_000)).run(StrategyParams::Multiple { b, t_inf });
+        let spec = StrategyParams::Multiple { b, t_inf };
+        let analytic = spec.expected_j(&m);
+        let mc = StrategyExecutor::new(w, cfg(6_000)).run(spec);
         let z = (mc.mean_j - analytic).abs() / mc.stderr_j;
         assert!(z < 4.0, "MC {} vs analytic {analytic} (z = {z})", mc.mean_j);
         // the collection keeps b jobs in flight until J
@@ -1123,26 +1125,18 @@ mod tests {
         let trace = w.generate(2_500, 4242);
         let emp = EmpiricalModel::from_trace(&trace).unwrap();
         let ex = StrategyExecutor::from_trace(&trace, cfg(8_000));
-        for (label, spec, analytic) in [
-            (
-                "single",
-                StrategyParams::Single { t_inf: 650.0 },
-                SingleResubmission::expectation(&emp, 650.0),
-            ),
-            (
-                "multiple",
-                StrategyParams::Multiple { b: 3, t_inf: 800.0 },
-                MultipleSubmission::expectation(&emp, 3, 800.0),
-            ),
+        for (label, spec) in [
+            ("single", StrategyParams::Single { t_inf: 650.0 }),
+            ("multiple", StrategyParams::Multiple { b: 3, t_inf: 800.0 }),
             (
                 "delayed",
                 StrategyParams::Delayed {
                     t0: 400.0,
                     t_inf: 560.0,
                 },
-                DelayedResubmission::expectation(&emp, 400.0, 560.0),
             ),
         ] {
+            let analytic = spec.expected_j(&emp);
             let mc = ex.run(spec);
             let z = (mc.mean_j - analytic).abs() / mc.stderr_j;
             assert!(
@@ -1161,8 +1155,9 @@ mod tests {
         let trace = w.generate(4000, 99);
         let emp = EmpiricalModel::from_trace(&trace).unwrap();
         let t_inf = 700.0;
-        let analytic = SingleResubmission::expectation(&emp, t_inf);
-        let mc = StrategyExecutor::new(w, cfg(4_000)).run(StrategyParams::Single { t_inf });
+        let spec = StrategyParams::Single { t_inf };
+        let analytic = spec.expected_j(&emp);
+        let mc = StrategyExecutor::new(w, cfg(4_000)).run(spec);
         assert!(
             (mc.mean_j - analytic).abs() / analytic < 0.08,
             "trace-fitted {analytic} vs MC {}",
@@ -1195,39 +1190,26 @@ mod tests {
         // a one-task batch is one draw of J; a timeout past the trace
         // threshold resubmits outliers at t∞, not at the threshold
         let model = EmpiricalModel::from_trace(&app_trace()).unwrap();
-        for (spec, analytic, batches) in [
-            (
-                StrategyParams::Single { t_inf: 700.0 },
-                SingleResubmission::expectation(&model, 700.0),
-                60_000,
-            ),
-            (
-                StrategyParams::Multiple { b: 3, t_inf: 800.0 },
-                MultipleSubmission::expectation(&model, 3, 800.0),
-                60_000,
-            ),
+        for (spec, batches) in [
+            (StrategyParams::Single { t_inf: 700.0 }, 60_000),
+            (StrategyParams::Multiple { b: 3, t_inf: 800.0 }, 60_000),
             (
                 StrategyParams::Delayed {
                     t0: 400.0,
                     t_inf: 560.0,
                 },
-                DelayedResubmission::expectation(&model, 400.0, 560.0),
                 60_000,
             ),
-            (
-                StrategyParams::Single { t_inf: 15_000.0 },
-                SingleResubmission::expectation(&model, 15_000.0),
-                100_000,
-            ),
+            (StrategyParams::Single { t_inf: 15_000.0 }, 100_000),
             (
                 StrategyParams::Multiple {
                     b: 2,
                     t_inf: 15_000.0,
                 },
-                MultipleSubmission::expectation(&model, 2, 15_000.0),
                 100_000,
             ),
         ] {
+            let analytic = spec.expected_j(&model);
             let batch = batch_executor(batches, 1).run_batch(spec, 1);
             assert!(
                 (batch.mean_latency - analytic).abs() / analytic < 0.02,
@@ -1275,8 +1257,8 @@ mod tests {
         // the b=5 makespan must beat single's by a larger factor than the
         // mean-latency improvement
         let model = EmpiricalModel::from_trace(&app_trace()).unwrap();
-        let single_t = SingleResubmission::optimize(&model).timeout;
-        let multi_t = MultipleSubmission::optimize(&model, 5).timeout;
+        let single_t = optimize_timeout(&model, 1).timeout;
+        let multi_t = optimize_timeout(&model, 5).timeout;
         let ex = batch_executor(200, 3);
         let b1 = ex.run_batch(StrategyParams::Single { t_inf: single_t }, 500);
         let b5 = ex.run_batch(

@@ -13,13 +13,14 @@
 //!   implements [`strategy::Strategy`], which unifies the analytic side
 //!   (`expected_j`/`std_j`/`n_parallel` over a latency model) with the
 //!   executable side (the simulator controller realising the protocol);
-//! * the closed forms of each family, as associated functions of a
-//!   field-less type: [`strategy::SingleResubmission`] — cancel at `t∞`
-//!   and resubmit (paper §4, eqs. 1–2); [`strategy::MultipleSubmission`] —
-//!   submit `b` copies, cancel the rest on first start, resubmit the
-//!   collection at `t∞` (§5, eqs. 3–4); [`strategy::DelayedResubmission`]
-//!   — submit a copy at `t0` without cancelling before `t∞` (§6, eq. 5
-//!   and the `N_//` analysis of §6.1);
+//! * one closed form for every family: each instance is an echelon
+//!   protocol `(b, t0, t∞)` ([`StrategyParams::echelon`]) — submit `b`
+//!   copies every `t0`, cancel each echelon at `t∞` — and
+//!   [`strategy::DelayedResubmission`] evaluates its law (the survival form
+//!   of the paper's eq. 5, §6, with the `N_//` analysis of §6.1). Single
+//!   resubmission (§4, eqs. 1–2) and multiple submission (§5, eqs. 3–4)
+//!   are that law at `t0 = t∞`, and [`strategy::optimize_timeout`] tunes
+//!   their timeout;
 //! * [`cost`] — the `∆cost` criterion of §7 (eq. 6) comparing user benefit
 //!   against infrastructure load;
 //! * [`stability`] — the ±5 s sensitivity analysis of Table 5;
@@ -53,7 +54,7 @@
 //! piecewise products — no quadrature). Moreover, because `E_J(t∞)` is
 //! increasing-linear-over-constant between sample points, its minimum over
 //! `t∞` is attained at a sample value, so the single- and multiple-strategy
-//! optimizations are exact too.
+//! timeout scan ([`strategy::optimize_timeout`]) is exact too.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -80,7 +81,4 @@ pub use executor::{
 };
 pub use latency::{EmpiricalModel, LatencyModel, ParametricModel};
 pub use session::TaskSession;
-pub use strategy::{
-    DelayedOutcome, DelayedResubmission, MultipleSubmission, SingleResubmission, Strategy,
-    Timeout1d,
-};
+pub use strategy::{optimize_timeout, DelayedOutcome, DelayedResubmission, Strategy, Timeout1d};

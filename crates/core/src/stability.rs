@@ -76,7 +76,7 @@ pub fn stability_radius(
 mod tests {
     use super::*;
     use crate::latency::ParametricModel;
-    use crate::strategy::SingleResubmission;
+    use crate::strategy::optimize_timeout;
     use gridstrat_stats::{LogNormal, Shifted};
 
     fn model() -> ParametricModel<Shifted<LogNormal>> {
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn perturbation_cannot_beat_max_and_includes_base() {
         let m = model();
-        let single = SingleResubmission::optimize(&m);
+        let single = optimize_timeout(&m, 1);
         let rep = stability_radius(&m, 420.0, 520.0, 5, single.expectation);
         assert!(rep.max_delta_cost >= rep.base_delta_cost);
         assert!(rep.max_rel_diff_pct >= 0.0);
@@ -99,7 +99,7 @@ mod tests {
     fn optimum_neighbourhood_is_stable_like_the_paper() {
         // near the ∆cost optimum, ±5 s moves ∆cost by a few percent at most
         let m = model();
-        let single = SingleResubmission::optimize(&m);
+        let single = optimize_timeout(&m, 1);
         let best = crate::cost::optimize_delayed_delta_cost(&m);
         if let crate::cost::StrategyParams::Delayed { t0, t_inf } = best.params {
             let rep = stability_radius(&m, t0, t_inf, 5, single.expectation);
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn radius_zero_is_just_the_base() {
         let m = model();
-        let single = SingleResubmission::optimize(&m);
+        let single = optimize_timeout(&m, 1);
         let rep = stability_radius(&m, 400.0, 500.0, 0, single.expectation);
         assert_eq!(rep.examined, 1);
         assert_eq!(rep.base_delta_cost, rep.max_delta_cost);

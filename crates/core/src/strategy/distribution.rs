@@ -3,20 +3,22 @@
 //!
 //! The paper reports `E_J` and `σ_J`; several practical questions need the
 //! whole law (batch makespans are `max`-statistics, deadline guarantees are
-//! quantiles). All three strategies admit closed-form CDFs on top of
-//! `F̃`:
+//! quantiles). Every family is an echelon protocol `(b, t0, t∞)`
+//! ([`StrategyParams::echelon`]), and its law is one survival product on
+//! top of `F̃`, with `s = 1 - F̃`:
 //!
-//! * **single** (`t = n·t∞ + u`, `u ∈ [0, t∞)`):
-//!   `F_J(t) = 1 - qⁿ + qⁿ·F̃(u)` with `q = 1 - F̃(t∞)` — the geometric
-//!   rounds make `J`'s law a geometric mixture of shifted copies of `F̃`;
-//! * **multiple**: same with `F̃ → G_b = 1-(1-F̃)ᵇ`;
-//! * **delayed** (`b` copies per echelon): the survival product
-//!   `P(J > t) = Π_k s(clamp(t - k·t0, 0, t∞))ᵇ`, evaluated term by term
-//!   (all but at most two factors equal `s(t∞)ᵇ`).
+//! ```text
+//! P(J > t) = Π_k s(clamp(t - k·t0, 0, t∞))ᵇ
+//! ```
 //!
-//! These are cross-validated against the moment formulas (eqs. 1, 3, 5) by
-//! numerically integrating the survival function, and against the
-//! protocols run on the engine ([`crate::StrategyExecutor::run_batch`]).
+//! evaluated term by term (all but at most two factors equal `s(t∞)ᵇ`).
+//! For single and multiple submission (`t0 = t∞`, `t = n·t∞ + u`) it is
+//! `qⁿ·s(u)ᵇ` with `q = s(t∞)ᵇ`: a geometric mixture of shifted copies of
+//! the collection minimum's law.
+//!
+//! These are cross-validated against the moment formulas by numerically
+//! integrating the survival function, and against the protocols run on the
+//! engine ([`crate::StrategyExecutor::run_batch`]).
 
 use crate::cost::StrategyParams;
 use crate::latency::LatencyModel;
@@ -26,29 +28,27 @@ use crate::strategy::DelayedResubmission;
 /// over a latency model.
 pub struct JDistribution<'a, M: LatencyModel + ?Sized> {
     model: &'a M,
-    spec: StrategyParams,
+    /// The instance's echelon `(b, t0, t∞)`.
+    echelon: (u32, f64, f64),
 }
 
 impl<'a, M: LatencyModel + ?Sized> JDistribution<'a, M> {
     /// Builds the distribution; the strategy must be able to complete
-    /// (`F̃(t∞) > 0`) and, for delayed variants, the pair must be feasible.
+    /// (`F̃(t∞) > 0`) and its `(t0, t∞)` pair must be feasible.
     pub fn new(model: &'a M, spec: StrategyParams) -> Result<Self, String> {
-        let t_inf = match spec {
-            StrategyParams::Single { t_inf } | StrategyParams::Multiple { t_inf, .. } => t_inf,
-            StrategyParams::Delayed { t0, t_inf }
-            | StrategyParams::DelayedMultiple { t0, t_inf, .. } => {
-                if !DelayedResubmission::feasible(t0, t_inf) {
-                    return Err(format!("infeasible delayed pair ({t0}, {t_inf})"));
-                }
-                t_inf
-            }
-        };
+        let (b, t0, t_inf) = spec.echelon();
+        if !DelayedResubmission::feasible(t0, t_inf) {
+            return Err(format!("infeasible (t0, t∞) pair ({t0}, {t_inf})"));
+        }
         if model.defective_cdf(t_inf) <= 0.0 {
             return Err(format!(
                 "strategy cannot complete: F̃({t_inf}) = 0 (timeout below the latency floor)"
             ));
         }
-        Ok(JDistribution { model, spec })
+        Ok(JDistribution {
+            model,
+            echelon: (b, t0, t_inf),
+        })
     }
 
     /// `P(J ≤ t)`.
@@ -56,30 +56,12 @@ impl<'a, M: LatencyModel + ?Sized> JDistribution<'a, M> {
         if t <= 0.0 {
             return 0.0;
         }
-        match self.spec {
-            StrategyParams::Single { t_inf } => self.rounds_cdf(1, t_inf, t),
-            StrategyParams::Multiple { b, t_inf } => self.rounds_cdf(b, t_inf, t),
-            StrategyParams::Delayed { t0, t_inf } => 1.0 - self.delayed_survival(1, t0, t_inf, t),
-            StrategyParams::DelayedMultiple { b, t0, t_inf } => {
-                1.0 - self.delayed_survival(b, t0, t_inf, t)
-            }
-        }
+        1.0 - self.survival(t)
     }
 
-    fn collection_cdf(&self, b: u32, t: f64) -> f64 {
-        1.0 - (1.0 - self.model.defective_cdf(t)).powi(b as i32)
-    }
-
-    fn rounds_cdf(&self, b: u32, t_inf: f64, t: f64) -> f64 {
-        let g_inf = self.collection_cdf(b, t_inf);
-        let q = 1.0 - g_inf;
-        let n = (t / t_inf).floor();
-        let u = t - n * t_inf;
-        let qn = q.powf(n); // n is a non-negative integer value of f64
-        1.0 - qn + qn * self.collection_cdf(b, u.min(t_inf))
-    }
-
-    fn delayed_survival(&self, b: u32, t0: f64, t_inf: f64, t: f64) -> f64 {
+    /// `P(J > t)` for `t > 0`: the survival product of the echelons.
+    fn survival(&self, t: f64) -> f64 {
+        let (b, t0, t_inf) = self.echelon;
         let bi = b as i32;
         let mut surv = 1.0;
         let mut k = 0u64;
@@ -162,7 +144,7 @@ mod tests {
     use super::*;
     use crate::executor::{MonteCarloConfig, StrategyExecutor};
     use crate::latency::EmpiricalModel;
-    use crate::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+    use crate::strategy::Strategy;
     use gridstrat_workload::{TraceSet, WeekModel};
 
     fn trace() -> TraceSet {
@@ -212,32 +194,8 @@ mod tests {
     #[test]
     fn survival_integration_matches_moment_formulas() {
         let m = model();
-        let cases: Vec<(StrategyParams, f64)> = vec![
-            (
-                StrategyParams::Single { t_inf: 700.0 },
-                SingleResubmission::expectation(&m, 700.0),
-            ),
-            (
-                StrategyParams::Multiple { b: 3, t_inf: 800.0 },
-                MultipleSubmission::expectation(&m, 3, 800.0),
-            ),
-            (
-                StrategyParams::Delayed {
-                    t0: 400.0,
-                    t_inf: 560.0,
-                },
-                DelayedResubmission::expectation(&m, 400.0, 560.0),
-            ),
-            (
-                StrategyParams::DelayedMultiple {
-                    b: 2,
-                    t0: 400.0,
-                    t_inf: 560.0,
-                },
-                DelayedResubmission::expectation_with_copies(&m, 2, 400.0, 560.0),
-            ),
-        ];
-        for (spec, want) in cases {
+        for spec in specs() {
+            let want = spec.expected_j(&m);
             let d = JDistribution::new(&m, spec).unwrap();
             let got = d.expectation_by_integration(0.5);
             assert!(

@@ -8,7 +8,7 @@
 
 use crate::cost::{delayed_delta_cost_at, CostPoint};
 use crate::latency::LatencyModel;
-use crate::strategy::SingleResubmission;
+use crate::strategy::optimize_timeout;
 
 /// One evaluated `(t0, t∞)` pair under some week's model.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ pub fn transfer_matrix<M: LatencyModel>(weeks: &[(String, M, (f64, f64))]) -> Ve
         .iter()
         .enumerate()
         .map(|(i, (name, model, _))| {
-            let single = SingleResubmission::optimize(model);
+            let single = optimize_timeout(model, 1);
             let cells: Vec<TransferCell> = weeks
                 .iter()
                 .map(|(pname, _, (t0, ti))| {

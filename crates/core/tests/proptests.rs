@@ -1,15 +1,16 @@
 //! Property-based tests for the strategy models: the structural laws of
 //! eqs. 1–6 that must hold for *any* defective latency model, not just the
-//! calibrated EGEE weeks.
+//! calibrated EGEE weeks. Every family is evaluated by the one echelon law
+//! (single and multiple submission at `t0 = t∞`).
 //!
 //! The crates.io `proptest` harness is unavailable offline, so these use a
 //! seeded hand-rolled generator: every `#[test]` draws `CASES` random
 //! inputs from a fixed stream, making failures exactly reproducible (the
 //! failing case index is part of the assertion message).
 
-use gridstrat_core::cost::delta_cost;
+use gridstrat_core::cost::{delta_cost, StrategyParams};
 use gridstrat_core::latency::{EmpiricalModel, LatencyModel};
-use gridstrat_core::strategy::{DelayedResubmission, MultipleSubmission, SingleResubmission};
+use gridstrat_core::strategy::{optimize_timeout, DelayedResubmission, Strategy};
 use gridstrat_stats::rng::derived_rng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -31,6 +32,14 @@ fn model_from(samples: &[f64]) -> EmpiricalModel {
     EmpiricalModel::from_samples(samples, 10_000.0).unwrap()
 }
 
+fn single(t_inf: f64) -> StrategyParams {
+    StrategyParams::Single { t_inf }
+}
+
+fn multiple(b: u32, t_inf: f64) -> StrategyParams {
+    StrategyParams::Multiple { b, t_inf }
+}
+
 #[test]
 fn eq1_expectation_at_least_conditional_mean_below_timeout() {
     let mut rng = derived_rng(0xC0DE, 1);
@@ -38,7 +47,7 @@ fn eq1_expectation_at_least_conditional_mean_below_timeout() {
         let samples = latency_samples(&mut rng);
         let t_inf = rng.gen_range(60.0..9_400.0f64);
         let m = model_from(&samples);
-        let e = SingleResubmission::expectation(&m, t_inf);
+        let e = single(t_inf).expected_j(&m);
         if e.is_finite() {
             // E_J ≥ E[R | R < t∞] (resubmission can only add waiting)
             let below: Vec<f64> = samples.iter().copied().filter(|&x| x < t_inf).collect();
@@ -60,8 +69,8 @@ fn eq2_variance_nonnegative() {
     for case in 0..CASES {
         let m = model_from(&latency_samples(&mut rng));
         let t_inf = rng.gen_range(60.0..9_400.0f64);
-        let v = SingleResubmission::variance(&m, t_inf);
-        assert!(v >= 0.0 || v.is_infinite(), "case {case}: variance {v}");
+        let s = single(t_inf).std_j(&m);
+        assert!(s >= 0.0 || s.is_infinite(), "case {case}: σ_J {s}");
     }
 }
 
@@ -72,8 +81,8 @@ fn eq3_more_copies_never_hurt_at_fixed_timeout() {
         let m = model_from(&latency_samples(&mut rng));
         let t_inf = rng.gen_range(60.0..9_400.0f64);
         let b = rng.gen_range(1..12u32);
-        let e_b = MultipleSubmission::expectation(&m, b, t_inf);
-        let e_b1 = MultipleSubmission::expectation(&m, b + 1, t_inf);
+        let e_b = multiple(b, t_inf).expected_j(&m);
+        let e_b1 = multiple(b + 1, t_inf).expected_j(&m);
         if e_b.is_finite() {
             assert!(
                 e_b1 <= e_b + 1e-9,
@@ -85,38 +94,27 @@ fn eq3_more_copies_never_hurt_at_fixed_timeout() {
 
 #[test]
 fn eq3_reduces_to_eq1_at_b1() {
+    // one law: single resubmission is multiple submission of one job, and
+    // delayed resubmission with t0 = t∞, to the bit
     let mut rng = derived_rng(0xC0DE, 4);
     for case in 0..CASES {
         let m = model_from(&latency_samples(&mut rng));
         let t_inf = rng.gen_range(60.0..9_400.0f64);
-        let single = SingleResubmission::expectation(&m, t_inf);
-        let multi = MultipleSubmission::expectation(&m, 1, t_inf);
-        if single.is_finite() {
-            assert!(
-                (single - multi).abs() <= 1e-9 * single.max(1.0),
-                "case {case}: single {single} vs b=1 {multi}"
+        let s = single(t_inf);
+        for other in [
+            multiple(1, t_inf),
+            StrategyParams::Delayed { t0: t_inf, t_inf },
+        ] {
+            assert_eq!(
+                s.expected_j(&m).to_bits(),
+                other.expected_j(&m).to_bits(),
+                "case {case}: {other:?}"
             );
-        } else {
-            assert!(multi.is_infinite(), "case {case}");
-        }
-    }
-}
-
-#[test]
-fn eq5_degenerates_to_eq1_on_the_diagonal() {
-    let mut rng = derived_rng(0xC0DE, 5);
-    for case in 0..CASES {
-        let m = model_from(&latency_samples(&mut rng));
-        let t = rng.gen_range(60.0..9_000.0f64);
-        let single = SingleResubmission::expectation(&m, t);
-        let delayed = DelayedResubmission::expectation(&m, t, t);
-        if single.is_finite() {
-            assert!(
-                (single - delayed).abs() <= 1e-7 * single.max(1.0),
-                "case {case}: diagonal mismatch: single {single} delayed {delayed}"
+            assert_eq!(
+                s.std_j(&m).to_bits(),
+                other.std_j(&m).to_bits(),
+                "case {case}: {other:?}"
             );
-        } else {
-            assert!(delayed.is_infinite(), "case {case}");
         }
     }
 }
@@ -132,7 +130,7 @@ fn eq5_beats_or_matches_single_with_same_timeout() {
         let t0 = rng.gen_range(60.0..4_500.0f64);
         let t_inf = t0 + rng.gen_range(0.0..1.0f64) * t0;
         let delayed = DelayedResubmission::expectation(&m, t0, t_inf);
-        let single = SingleResubmission::expectation(&m, t_inf);
+        let single = single(t_inf).expected_j(&m);
         if single.is_finite() && delayed.is_finite() {
             assert!(
                 delayed <= single + 1e-6,
@@ -188,7 +186,7 @@ fn optimal_single_timeout_is_a_sample() {
     for case in 0..CASES {
         let samples = latency_samples(&mut rng);
         let m = model_from(&samples);
-        let opt = SingleResubmission::optimize(&m);
+        let opt = optimize_timeout(&m, 1);
         assert!(
             samples.iter().any(|&x| (x - opt.timeout).abs() < 1e-12),
             "case {case}: optimum {} is not a sample value",
@@ -198,7 +196,7 @@ fn optimal_single_timeout_is_a_sample() {
         for &t in &samples {
             if t < 10_000.0 {
                 assert!(
-                    SingleResubmission::expectation(&m, t) >= opt.expectation - 1e-9,
+                    single(t).expected_j(&m) >= opt.expectation - 1e-9,
                     "case {case}: t {t} beats the optimum"
                 );
             }
@@ -211,7 +209,7 @@ fn delta_cost_of_single_is_one() {
     let mut rng = derived_rng(0xC0DE, 11);
     for case in 0..CASES {
         let m = model_from(&latency_samples(&mut rng));
-        let opt = SingleResubmission::optimize(&m);
+        let opt = optimize_timeout(&m, 1);
         let dc = delta_cost(1.0, opt.expectation, opt.expectation);
         assert!((dc - 1.0).abs() < 1e-12, "case {case}: ∆cost {dc}");
     }
@@ -234,7 +232,6 @@ fn powered_integrals_decrease_in_b() {
 
 #[test]
 fn j_distribution_cdf_bounds_and_monotonicity() {
-    use gridstrat_core::cost::StrategyParams;
     use gridstrat_core::strategy::JDistribution;
 
     let mut rng = derived_rng(0xC0DE, 13);
@@ -268,7 +265,7 @@ fn generalized_delayed_bounded_by_components() {
         let b = rng.gen_range(2..5u32);
         let gen = DelayedResubmission::expectation_with_copies(&m, b, t0, t_inf);
         let single_copy = DelayedResubmission::expectation(&m, t0, t_inf);
-        let burst = MultipleSubmission::expectation(&m, b, t_inf);
+        let burst = multiple(b, t_inf).expected_j(&m);
         if gen.is_finite() {
             assert!(gen <= single_copy + 1e-6, "case {case}");
             assert!(gen <= burst + 1e-6, "case {case}");
@@ -338,12 +335,9 @@ fn delayed_expectation_is_floored_by_a_nondecreasing_head_integral() {
 }
 
 #[test]
-fn strategy_trait_agrees_with_closed_forms_on_random_models() {
-    // the Strategy-trait view must be numerically identical to the
-    // associated-function closed forms for every family
-    use gridstrat_core::cost::StrategyParams;
-    use gridstrat_core::strategy::Strategy;
-
+fn strategy_trait_is_the_law_at_the_echelon() {
+    // every family's E_J is the b-copy law at its (b, t0, t∞), and N_// of
+    // single and multiple submission is b to the bit
     let mut rng = derived_rng(0xC0DE, 15);
     for case in 0..CASES {
         let m = model_from(&latency_samples(&mut rng));
@@ -351,24 +345,26 @@ fn strategy_trait_agrees_with_closed_forms_on_random_models() {
         let b = rng.gen_range(2..6u32);
         let t0 = rng.gen_range(100.0..4_000.0f64);
         let ti = t0 + rng.gen_range(0.0..1.0f64) * t0;
-
-        let s = StrategyParams::Single { t_inf };
-        assert_eq!(
-            s.expected_j(&m).to_bits(),
-            SingleResubmission::expectation(&m, t_inf).to_bits(),
-            "case {case}: single"
-        );
-        let mu = StrategyParams::Multiple { b, t_inf };
-        assert_eq!(
-            mu.expected_j(&m).to_bits(),
-            MultipleSubmission::expectation(&m, b, t_inf).to_bits(),
-            "case {case}: multiple"
-        );
-        let d = StrategyParams::Delayed { t0, t_inf: ti };
-        assert_eq!(
-            d.expected_j(&m).to_bits(),
-            DelayedResubmission::expectation(&m, t0, ti).to_bits(),
-            "case {case}: delayed"
-        );
+        for spec in [
+            single(t_inf),
+            multiple(b, t_inf),
+            StrategyParams::Delayed { t0, t_inf: ti },
+            StrategyParams::DelayedMultiple { b, t0, t_inf: ti },
+        ] {
+            let (copies, t0, t_inf) = spec.echelon();
+            let e = spec.expected_j(&m);
+            assert_eq!(
+                e.to_bits(),
+                DelayedResubmission::expectation_with_copies(&m, copies, t0, t_inf).to_bits(),
+                "case {case}: {spec:?}"
+            );
+            if t0 == t_inf && e.is_finite() {
+                assert_eq!(
+                    spec.n_parallel_for(e),
+                    copies as f64,
+                    "case {case}: {spec:?}"
+                );
+            }
+        }
     }
 }

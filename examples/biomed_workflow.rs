@@ -32,8 +32,8 @@ fn main() {
     // wrapper would from last week's probes
     let trace = week.generate(0xE6EE);
     let fitted = EmpiricalModel::from_trace(&trace).expect("trace is non-degenerate");
-    let single = SingleResubmission::optimize(&fitted);
-    let multi3 = MultipleSubmission::optimize(&fitted, 3);
+    let single = optimize_timeout(&fitted, 1);
+    let multi3 = optimize_timeout(&fitted, 3);
     let delayed = optimize_delayed_delta_cost(&fitted);
     let (d_t0, d_tinf) = match delayed.params {
         StrategyParams::Delayed { t0, t_inf } => (t0, t_inf),

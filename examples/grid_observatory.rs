@@ -77,7 +77,7 @@ fn main() {
 
     // 4. tune strategies on both the raw ECDF and the best parametric fit
     let empirical = EmpiricalModel::from_trace(&parsed).expect("valid trace");
-    let emp_opt = SingleResubmission::optimize(&empirical);
+    let emp_opt = optimize_timeout(&empirical, 1);
     println!(
         "\nempirical model : t∞* = {:.0}s, E_J = {:.0}s",
         emp_opt.timeout, emp_opt.expectation
@@ -85,7 +85,7 @@ fn main() {
     let best_fit = reports.first().expect("at least one family fits");
     let parametric =
         ParametricModel::new(best_fit.model, rho, CENSOR_THRESHOLD_S).expect("valid model");
-    let par_opt = SingleResubmission::optimize(&parametric);
+    let par_opt = optimize_timeout(&parametric, 1);
     println!(
         "parametric ({}) : t∞* = {:.0}s, E_J = {:.0}s",
         best_fit.model.family(),

@@ -28,7 +28,7 @@ fn main() {
     let model = EmpiricalModel::from_trace(&trace).expect("trace is non-degenerate");
 
     // 3. Single resubmission: optimal timeout t∞ (eqs. 1–2).
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     println!(
         "\nsingle resubmission : t∞* = {:>5.0}s  E_J = {:>4.0}s  σ_J = {:>4.0}s",
         single.timeout, single.expectation, single.std_dev
@@ -36,7 +36,7 @@ fn main() {
 
     // 4. Multiple submission: burst of b copies (eqs. 3–4).
     for b in [2u32, 5] {
-        let multi = MultipleSubmission::optimize(&model, b);
+        let multi = optimize_timeout(&model, b);
         println!(
             "multiple (b = {b})    : t∞* = {:>5.0}s  E_J = {:>4.0}s  σ_J = {:>4.0}s  ({:+.0}% vs single)",
             multi.timeout,
@@ -83,7 +83,7 @@ fn main() {
             },
             StrategyParams::Multiple {
                 b: 2,
-                t_inf: MultipleSubmission::optimize(&model, 2).timeout,
+                t_inf: optimize_timeout(&model, 2).timeout,
             },
             StrategyParams::Delayed {
                 t0: delayed.t0,

@@ -27,7 +27,7 @@ fn main() {
 
     for (i, week) in weeks.iter().enumerate() {
         let model = EmpiricalModel::from_trace(&week.generate(seed)).expect("valid trace");
-        let single = SingleResubmission::optimize(&model);
+        let single = optimize_timeout(&model, 1);
         let own = optimize_delayed_delta_cost(&model);
         let (own_t0, own_tinf) = match own.params {
             StrategyParams::Delayed { t0, t_inf } => (t0, t_inf),

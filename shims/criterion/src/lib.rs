@@ -1,7 +1,11 @@
 //! Offline stand-in for the subset of the `criterion` API the workspace's
-//! benches use. Each benchmark runs its routine once per sample and prints
-//! the median wall time; there is no statistics engine and no report
-//! directory.
+//! benches use. Each sample times a batch of back-to-back calls of the
+//! routine, sized so that one batch takes about [`SAMPLE_TARGET`], and the
+//! benchmark prints the median time per call; there is no statistics engine
+//! and no report directory. A routine of a few nanoseconds is therefore
+//! timed over about a million calls per sample, not across one
+//! `Instant::now` pair, while a routine slower than the target runs once
+//! per sample.
 
 use std::fmt::{self, Display};
 use std::time::{Duration, Instant};
@@ -76,34 +80,51 @@ impl Display for BenchmarkId {
     }
 }
 
+/// The wall time one sample's batch of calls aims at.
+pub const SAMPLE_TARGET: Duration = Duration::from_millis(5);
+
 /// Times the routine of one sample.
 pub struct Bencher {
+    /// Calls of the routine per sample.
+    batch: u64,
     elapsed: Duration,
 }
 
 impl Bencher {
-    /// Times one call of `routine`.
+    /// Times one batch of back-to-back calls of `routine`.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
         let start = Instant::now();
-        black_box(routine());
+        for _ in 0..self.batch {
+            black_box(routine());
+        }
         self.elapsed = start.elapsed();
     }
 }
 
+/// The wall time of one sample of `batch` calls.
+fn sample(f: &mut impl FnMut(&mut Bencher), batch: u64) -> Duration {
+    let mut b = Bencher {
+        batch,
+        elapsed: Duration::ZERO,
+    };
+    f(&mut b);
+    b.elapsed
+}
+
 fn run(id: &str, samples: usize, mut f: impl FnMut(&mut Bencher)) {
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let mut b = Bencher {
-                elapsed: Duration::ZERO,
-            };
-            f(&mut b);
-            b.elapsed
-        })
+    // size the batch by doubling until one batch takes the target; these
+    // sizing batches double as the warm-up
+    let mut batch = 1u64;
+    while sample(&mut f, batch) < SAMPLE_TARGET && batch < 1 << 30 {
+        batch *= 2;
+    }
+    let mut per_call: Vec<f64> = (0..samples)
+        .map(|_| sample(&mut f, batch).as_secs_f64() / batch as f64)
         .collect();
-    times.sort();
+    per_call.sort_by(f64::total_cmp);
     println!(
-        "{id:<60} median {:?} of {samples} samples",
-        times[samples / 2]
+        "{id:<60} median {:?} per call ({batch} calls x {samples} samples)",
+        Duration::from_secs_f64(per_call[samples / 2])
     );
 }
 

@@ -35,8 +35,9 @@
 //! let trace = WeekId::W2006Ix.generate(0xE6EE);
 //! let model = EmpiricalModel::from_trace(&trace).unwrap();
 //!
-//! // …and compute the single-resubmission optimum (paper §4, eq. 1).
-//! let single = SingleResubmission::optimize(&model);
+//! // …and compute the single-resubmission optimum (paper §4, eq. 1): the
+//! // echelon law at t0 = t∞ with one copy, over the candidate timeouts.
+//! let single = optimize_timeout(&model, 1);
 //! assert!(single.expectation.is_finite());
 //! assert!(single.timeout > 0.0);
 //! ```
@@ -65,8 +66,7 @@ pub mod prelude {
     pub use gridstrat_core::report::Table;
     pub use gridstrat_core::stability::{stability_radius, StabilityReport};
     pub use gridstrat_core::strategy::{
-        DelayedOutcome, DelayedResubmission, JDistribution, MultipleSubmission, SingleResubmission,
-        Strategy, Timeout1d,
+        optimize_timeout, DelayedOutcome, DelayedResubmission, JDistribution, Strategy, Timeout1d,
     };
     pub use gridstrat_core::transfer::{transfer_matrix, TransferReport};
     pub use gridstrat_fleet::{

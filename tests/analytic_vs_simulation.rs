@@ -31,9 +31,9 @@ fn eq1_single_resubmission_expectation() {
         let w = week(rho);
         let m = analytic_model(&w);
         for t_inf in [500.0, 900.0] {
-            let analytic = SingleResubmission::expectation(&m, t_inf);
-            let mc =
-                StrategyExecutor::new(w.clone(), cfg(5_000)).run(StrategyParams::Single { t_inf });
+            let spec = StrategyParams::Single { t_inf };
+            let analytic = spec.expected_j(&m);
+            let mc = StrategyExecutor::new(w.clone(), cfg(5_000)).run(spec);
             let z = (mc.mean_j - analytic).abs() / mc.stderr_j;
             assert!(
                 z < 4.5,
@@ -49,8 +49,9 @@ fn eq2_single_resubmission_sigma() {
     let w = week(0.15);
     let m = analytic_model(&w);
     let t_inf = 700.0;
-    let analytic = SingleResubmission::std_dev(&m, t_inf);
-    let mc = StrategyExecutor::new(w, cfg(12_000)).run(StrategyParams::Single { t_inf });
+    let spec = StrategyParams::Single { t_inf };
+    let analytic = spec.std_j(&m);
+    let mc = StrategyExecutor::new(w, cfg(12_000)).run(spec);
     assert!(
         (mc.std_j - analytic).abs() / analytic < 0.05,
         "eq.2 mismatch: MC σ {} vs analytic {analytic}",
@@ -64,9 +65,9 @@ fn eq3_multiple_submission_expectation() {
     let m = analytic_model(&w);
     for b in [2u32, 5] {
         let t_inf = 800.0;
-        let analytic = MultipleSubmission::expectation(&m, b, t_inf);
-        let mc =
-            StrategyExecutor::new(w.clone(), cfg(5_000)).run(StrategyParams::Multiple { b, t_inf });
+        let spec = StrategyParams::Multiple { b, t_inf };
+        let analytic = spec.expected_j(&m);
+        let mc = StrategyExecutor::new(w.clone(), cfg(5_000)).run(spec);
         let z = (mc.mean_j - analytic).abs() / mc.stderr_j;
         assert!(
             z < 4.5,
@@ -83,8 +84,9 @@ fn eq4_multiple_submission_sigma() {
     let w = week(0.12);
     let m = analytic_model(&w);
     let (b, t_inf) = (3u32, 800.0);
-    let analytic = MultipleSubmission::std_dev(&m, b, t_inf);
-    let mc = StrategyExecutor::new(w, cfg(12_000)).run(StrategyParams::Multiple { b, t_inf });
+    let spec = StrategyParams::Multiple { b, t_inf };
+    let analytic = spec.std_j(&m);
+    let mc = StrategyExecutor::new(w, cfg(12_000)).run(spec);
     assert!(
         (mc.std_j - analytic).abs() / analytic < 0.06,
         "eq.4 mismatch: MC σ {} vs analytic {analytic}",
@@ -149,7 +151,8 @@ fn submission_counts_match_geometric_model() {
     );
 
     let b = 4u32;
-    let g = MultipleSubmission::collection_cdf(&m, b, t_inf);
+    // the collection's success probability per round, G = 1 − (1 − F̃)ᵇ
+    let g = 1.0 - (1.0 - m.defective_cdf(t_inf)).powi(b as i32);
     let mc = StrategyExecutor::new(w, cfg(6_000)).run(StrategyParams::Multiple { b, t_inf });
     let want = b as f64 / g;
     assert!(
@@ -167,13 +170,13 @@ fn empirical_and_parametric_models_agree_on_strategies() {
     let trace = w.generate(20_000, 0xA11CE);
     let emp = EmpiricalModel::from_trace(&trace).unwrap();
     let par = analytic_model(&w);
-    let cases: Vec<(f64, f64)> = vec![(600.0, f64::NAN)];
-    let _ = cases; // single point below; delayed pair next
-    let es = SingleResubmission::expectation(&emp, 600.0);
-    let ps = SingleResubmission::expectation(&par, 600.0);
+    let single = StrategyParams::Single { t_inf: 600.0 };
+    let es = single.expected_j(&emp);
+    let ps = single.expected_j(&par);
     assert!((es - ps).abs() / ps < 0.05, "single: emp {es} vs par {ps}");
-    let em = MultipleSubmission::expectation(&emp, 4, 800.0);
-    let pm = MultipleSubmission::expectation(&par, 4, 800.0);
+    let multiple = StrategyParams::Multiple { b: 4, t_inf: 800.0 };
+    let em = multiple.expected_j(&emp);
+    let pm = multiple.expected_j(&par);
     assert!(
         (em - pm).abs() / pm < 0.07,
         "multiple: emp {em} vs par {pm}"

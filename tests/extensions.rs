@@ -20,7 +20,7 @@ fn generalized_delayed_interpolates_between_known_strategies() {
     // echelons only help
     for b in [2u32, 3, 5] {
         let db = DelayedResubmission::expectation_with_copies(&model, b, t0, t_inf);
-        let burst = MultipleSubmission::expectation(&model, b, t_inf);
+        let burst = StrategyParams::Multiple { b, t_inf }.expected_j(&model);
         assert!(
             db <= burst + 1e-9,
             "b={b}: delayed-multiple {db} vs burst {burst}"
@@ -51,8 +51,8 @@ fn generalized_delayed_monte_carlo_agreement_on_resampled_trace() {
 fn batch_makespan_orders_strategies_like_their_tails() {
     let trace = WeekId::W2007_51.generate(SEED);
     let model = EmpiricalModel::from_trace(&trace).unwrap();
-    let single_t = SingleResubmission::optimize(&model).timeout;
-    let multi_t = MultipleSubmission::optimize(&model, 3).timeout;
+    let single_t = optimize_timeout(&model, 1).timeout;
+    let multi_t = optimize_timeout(&model, 3).timeout;
 
     let ex = StrategyExecutor::from_trace(
         &trace,
@@ -95,7 +95,7 @@ fn bootstrap_ci_brackets_the_point_estimate() {
     let ci = bootstrap_ci(
         &raw,
         |xs| match EmpiricalModel::from_samples(xs, thr) {
-            Ok(m) => SingleResubmission::optimize(&m).expectation,
+            Ok(m) => optimize_timeout(&m, 1).expectation,
             Err(_) => f64::INFINITY,
         },
         150,
@@ -113,7 +113,7 @@ fn diurnal_traces_remain_tunable() {
     let diurnal = DiurnalModel::new(base, 0.5, 86_400.0).unwrap();
     let trace = diurnal.generate(4_000, SEED);
     let model = EmpiricalModel::from_trace(&trace).unwrap();
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     assert!(single.expectation.is_finite());
     // the stationarity-violating trace still yields a model on which the
     // delayed strategy behaves sanely

@@ -518,7 +518,7 @@ fn table1_matches_golden() {
                 ("body_mean", num(trace.body_mean())),
                 ("body_std", num(trace.body_std())),
                 ("censored_mean", num(trace.censored_mean_lower_bound())),
-                ("single", timeout_1d(&SingleResubmission::optimize(&model))),
+                ("single", timeout_1d(&optimize_timeout(&model, 1))),
                 ("week", text(week.name())),
             ])
         })
@@ -530,10 +530,13 @@ fn table1_matches_golden() {
 fn table2_matches_golden() {
     // multiple submission on 2006-IX: the optimum per collection size
     let model = model_for(WeekId::W2006Ix);
-    let bs: Vec<u32> = (1..=20).collect();
-    let rows = MultipleSubmission::optimal_series(&model, &bs)
-        .iter()
-        .map(|(b, out)| obj([("b", count(*b)), ("optimum", timeout_1d(out))]))
+    let rows = (1..=20)
+        .map(|b| {
+            obj([
+                ("b", count(b)),
+                ("optimum", timeout_1d(&optimize_timeout(&model, b))),
+            ])
+        })
         .collect();
     check_golden("table2", JsonValue::Array(rows));
 }
@@ -564,7 +567,7 @@ fn table3_and_figure5_minimum_match_golden() {
                 delayed_outcome(&DelayedResubmission::optimize(&model)),
             ),
             ("ratios", JsonValue::Array(rows)),
-            ("single", timeout_1d(&SingleResubmission::optimize(&model))),
+            ("single", timeout_1d(&optimize_timeout(&model, 1))),
         ]),
     );
 }
@@ -605,7 +608,7 @@ fn table5_rows_match_golden() {
         .iter()
         .map(|&week| {
             let model = model_for(week);
-            let single = SingleResubmission::optimize(&model);
+            let single = optimize_timeout(&model, 1);
             let best = optimize_delayed_delta_cost(&model);
             let (t0, t_inf) = delayed_pair(&best);
             let rep = stability_radius(&model, t0, t_inf, 5, single.expectation);

@@ -18,7 +18,7 @@ fn table1_shape_resubmission_tames_outliers() {
     for week in WeekId::ALL {
         let trace = week.generate(SEED);
         let m = EmpiricalModel::from_trace(&trace).unwrap();
-        let opt = SingleResubmission::optimize(&m);
+        let opt = optimize_timeout(&m, 1);
         let body = trace.body_mean();
         let censored = trace.censored_mean_lower_bound();
         assert!(
@@ -44,7 +44,7 @@ fn table1_shape_sigma_mostly_drops() {
     for week in WeekId::ALL {
         let trace = week.generate(SEED);
         let m = EmpiricalModel::from_trace(&trace).unwrap();
-        let opt = SingleResubmission::optimize(&m);
+        let opt = optimize_timeout(&m, 1);
         let rel = (opt.std_dev - trace.body_std()) / trace.body_std();
         rel_sum += rel;
         if rel < 0.0 {
@@ -65,12 +65,12 @@ fn table1_shape_sigma_mostly_drops() {
 #[test]
 fn table2_shape_diminishing_returns_in_b() {
     let m = model(WeekId::W2006Ix);
-    let series = MultipleSubmission::optimal_series(&m, &[1, 2, 3, 5, 10, 20]);
+    let series = [1, 2, 3, 5, 10, 20].map(|b| optimize_timeout(&m, b));
     // strictly decreasing
     for w in series.windows(2) {
-        assert!(w[1].1.expectation < w[0].1.expectation);
+        assert!(w[1].expectation < w[0].expectation);
     }
-    let e = |i: usize| series[i].1.expectation;
+    let e = |i: usize| series[i].expectation;
     // paper: b=2 ⇒ −33%, b=5 ⇒ −51%, b=10 ⇒ −59%, b=20 ⇒ −63%
     let drop = |i: usize| 1.0 - e(i) / e(0);
     assert!((0.20..0.50).contains(&drop(1)), "b=2 drop {}", drop(1));
@@ -80,7 +80,7 @@ fn table2_shape_diminishing_returns_in_b() {
     assert!(e(0) - e(1) > e(1) - e(3));
     assert!(e(1) - e(3) > e(3) - e(4));
     // σ_J also collapses with b (paper: 331 → 40 s from b=1 to 10)
-    assert!(series[4].1.std_dev < 0.3 * series[0].1.std_dev);
+    assert!(series[4].std_dev < 0.3 * series[0].std_dev);
 }
 
 #[test]
@@ -88,7 +88,7 @@ fn figure3_shape_holds_for_every_week() {
     // monotone E_J decrease in b on all 13 datasets
     for week in WeekId::ALL {
         let m = model(week);
-        let series = MultipleSubmission::optimal_series(&m, &[1, 2, 4, 8]);
+        let series = [1, 2, 4, 8].map(|b| (b, optimize_timeout(&m, b)));
         for w in series.windows(2) {
             assert!(
                 w[1].1.expectation < w[0].1.expectation,
@@ -103,9 +103,9 @@ fn figure3_shape_holds_for_every_week() {
 fn section6_shape_delayed_sits_between_single_and_b2() {
     // paper §6: delayed optimum beats single resubmission but not b ≥ 2
     let m = model(WeekId::W2006Ix);
-    let single = SingleResubmission::optimize(&m);
+    let single = optimize_timeout(&m, 1);
     let delayed = DelayedResubmission::optimize(&m);
-    let multi2 = MultipleSubmission::optimize(&m, 2);
+    let multi2 = optimize_timeout(&m, 2);
     assert!(delayed.expectation < single.expectation);
     assert!(multi2.expectation < delayed.expectation);
     // with fewer than 2 jobs in flight
@@ -200,7 +200,7 @@ fn table6_shape_transfer_penalties_stay_bounded() {
 fn stability_shape_optimum_is_flat_within_5s() {
     // Table 5 right: ±5 s perturbations move ∆cost by ≤ 14% in the paper
     let m = model(WeekId::W2007_52);
-    let single = SingleResubmission::optimize(&m);
+    let single = optimize_timeout(&m, 1);
     let best = optimize_delayed_delta_cost(&m);
     let (t0, ti) = match best.params {
         StrategyParams::Delayed { t0, t_inf } => (t0, t_inf),

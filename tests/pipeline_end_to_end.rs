@@ -42,7 +42,7 @@ fn measure_archive_fit_tune_execute() {
 
     // 4. tune strategies on the measured model
     let model = EmpiricalModel::from_trace(&parsed).unwrap();
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     assert!(single.timeout > 0.0 && single.timeout < CENSOR_THRESHOLD_S);
     let delayed = DelayedResubmission::optimize(&model);
     assert!(delayed.expectation <= single.expectation + 1e-9);
@@ -121,7 +121,7 @@ fn degraded_grid_still_yields_usable_models() {
     // fault ratio ≈ 0.25 + 0.75·0.15 ≈ 0.36
     assert!(trace.outlier_ratio() > 0.25 && trace.outlier_ratio() < 0.5);
     let model = EmpiricalModel::from_trace(&trace).unwrap();
-    let single = SingleResubmission::optimize(&model);
+    let single = optimize_timeout(&model, 1);
     // resubmission must still bound the expectation far below the censored mean
     assert!(single.expectation < 0.5 * trace.censored_mean_lower_bound());
 }

@@ -23,11 +23,27 @@
 //! arrival at the WMS. Their counts are binomial, and each is checked
 //! within `Z` of its binomial standard deviation (a normal tail below
 //! 0.01% at `Z = 4`).
+//!
+//! The client path end to end: single-resubmission tasks whose timeout
+//! lies past the horizon, started at Poisson instants, pass the UI hop,
+//! match-making and dispatch (exponential delays, so their arrivals at the
+//! batch queue are Poisson again) and wait in one M/G/1 queue with the
+//! background traffic. Their mean latency is the three hop means plus the
+//! Pollaczek–Khinchine wait of the mixed service law, checked like the
+//! background wait above. A cancellation request lands after an
+//! exponential delay of the configured mean: the mean is checked within
+//! `Z` standard errors (an exponential's deviation is its mean), and the
+//! law by a Kolmogorov–Smirnov test at the 0.01% level.
 
+use gridstrat::core::{StrategyParams, TaskSession};
 use gridstrat::sim::{
     BackgroundLoadConfig, Controller, GridConfig, GridSimulation, Notification, SimDuration,
     SiteConfig,
 };
+use gridstrat::stats::rng::derived_rng;
+use gridstrat::stats::{fit::ks_statistic, Exponential};
+use rand::rngs::StdRng;
+use rand::Rng;
 
 const Z: f64 = 4.0;
 const BATCHES: usize = 20;
@@ -287,5 +303,178 @@ fn client_fault_fractions_are_binomial() {
         stats.client_failed,
         n as u64 - stats.client_stuck,
         faults.p_transient_failure,
+    );
+}
+
+/// Single-resubmission tasks started at Poisson instants of mean gap
+/// `mean_gap_s` until `until`, one [`TaskSession`] each, whose jobs hold
+/// their slot for `exec` once started. Task `k` runs under engine scope
+/// `k + 1`; the arrival timer is the driver's own (scope 0).
+struct PoissonTasks {
+    rng: StdRng,
+    mean_gap_s: f64,
+    until: f64,
+    strategy: StrategyParams,
+    exec: SimDuration,
+    /// Per task: its session and its start instant.
+    tasks: Vec<(TaskSession, f64)>,
+}
+
+impl PoissonTasks {
+    fn arm(&mut self, sim: &mut GridSimulation) {
+        let gap = -(1.0 - self.rng.gen::<f64>()).ln() * self.mean_gap_s;
+        if sim.now().as_secs() + gap < self.until {
+            sim.set_timer(SimDuration::from_secs(gap), 0);
+        }
+    }
+
+    /// `(start instant, latency)` of every task that has finished.
+    fn latencies(&self) -> Vec<(f64, f64)> {
+        self.tasks
+            .iter()
+            .filter_map(|(task, at)| task.total_latency().map(|j| (*at, j - at)))
+            .collect()
+    }
+}
+
+impl Controller for PoissonTasks {
+    fn start(&mut self, sim: &mut GridSimulation) {
+        self.arm(sim);
+    }
+
+    fn on_event(&mut self, sim: &mut GridSimulation, ev: Notification) {
+        let owner = match ev {
+            Notification::Timer { token, .. } => token >> 32,
+            Notification::JobStarted { id, .. }
+            | Notification::JobFinished { id, .. }
+            | Notification::JobFailed { id, .. } => sim.job(id).owner(),
+        };
+        if owner == 0 {
+            let mut task = TaskSession::new(self.strategy);
+            task.begin(self.tasks.len() as u64 + 1, self.exec);
+            task.start(sim);
+            self.tasks.push((task, sim.now().as_secs()));
+            self.arm(sim);
+        } else {
+            self.tasks[owner as usize - 1].0.on_event(sim, ev);
+        }
+    }
+
+    fn done(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn client_latency_is_the_hops_plus_the_mixed_pollaczek_khinchine_wait() {
+    // one slot at ρ = 0.6: background jobs (mean 100 s, cv 1) offer 0.3,
+    // client tasks (a deterministic 200 s each) the other 0.3
+    let (lambda_bg, lambda_client, client_exec) = (0.003, 0.0015, 200.0);
+    let horizon = 60_000.0 / lambda_client;
+    let mut cfg = GridConfig::pipeline_default();
+    cfg.sites = vec![SiteConfig {
+        name: "farm".into(),
+        slots: 1,
+        weight: 1.0,
+    }];
+    cfg.background = Some(BackgroundLoadConfig {
+        arrival_rate_per_s: lambda_bg,
+        exec_mean_s: MEAN_S,
+        exec_cv: 1.0,
+    });
+    cfg.faults.p_silent_loss = 0.0;
+    cfg.faults.p_transient_failure = 0.0;
+    cfg.horizon = SimDuration::from_secs(horizon);
+    let hops = cfg.wms.ui_to_wms_mean_s + cfg.wms.matchmaking_mean_s + cfg.wms.dispatch_mean_s;
+    let mut sim = GridSimulation::new(cfg, 0x9E7).expect("valid farm");
+    let mut driver = PoissonTasks {
+        rng: derived_rng(0x9E7, 1),
+        mean_gap_s: 1.0 / lambda_client,
+        until: horizon,
+        // never times out before the horizon, so never cancels
+        strategy: StrategyParams::Single {
+            t_inf: 10.0 * horizon,
+        },
+        exec: SimDuration::from_secs(client_exec),
+        tasks: Vec::new(),
+    };
+    sim.run_controller(&mut driver);
+
+    // the M/G/1 queue of the superposed Poisson streams
+    let lambda = lambda_bg + lambda_client;
+    let rho = lambda_bg * MEAN_S + lambda_client * client_exec;
+    let second_moment = lambda_bg * 2.0 * MEAN_S * MEAN_S + lambda_client * client_exec.powi(2);
+    let wait = second_moment / (2.0 * (1.0 - rho));
+    assert!((rho - 0.6).abs() < 1e-12 && lambda > 0.0);
+
+    let (lo, hi) = (0.1 * horizon, 0.9 * horizon);
+    let mut sum = [0.0; BATCHES];
+    let mut n = [0usize; BATCHES];
+    for (at, latency) in driver.latencies() {
+        if (lo..hi).contains(&at) {
+            let b = ((at - lo) / (hi - lo) * BATCHES as f64) as usize;
+            sum[b] += latency;
+            n[b] += 1;
+        }
+    }
+    let started_in_window = driver
+        .tasks
+        .iter()
+        .filter(|(_, at)| (lo..hi).contains(at))
+        .count();
+    assert_eq!(
+        n.iter().sum::<usize>(),
+        started_in_window,
+        "every task ends"
+    );
+    assert!(n.iter().all(|&k| k > 1_000), "batch sizes {n:?}");
+    let batches: Vec<f64> = (0..BATCHES).map(|b| sum[b] / n[b] as f64).collect();
+    let tol = assert_within("client latency at ρ = 0.6", &batches, hops + wait);
+    // the check must tell the mixture from a queue that ignores the
+    // clients' own service (a wait of 43 s instead of 150 s)
+    assert!(tol < 0.1 * wait, "tolerance {tol} too loose for {wait}");
+}
+
+#[test]
+fn cancellation_lands_after_an_exponential_delay() {
+    // every job is silently lost, so a single-resubmission task cancels
+    // each at its timeout t∞ and resubmits at once: job k's cancellation
+    // is requested at submission + t∞ and applied when its record ends
+    let (t_inf, mean) = (100.0, 300.0);
+    let mut cfg = GridConfig::pipeline_default();
+    cfg.background = None;
+    cfg.faults.p_silent_loss = 1.0;
+    cfg.wms.cancellation_delay_mean_s = mean;
+    let requests = 20_000.0;
+    cfg.horizon = SimDuration::from_secs(requests * t_inf);
+    let mut sim = GridSimulation::new(cfg, 0x9E8).expect("valid grid");
+    let mut task = TaskSession::new(StrategyParams::Single { t_inf });
+    task.begin(1, SimDuration::ZERO);
+    sim.run_controller(&mut task);
+    assert!(task.total_latency().is_none(), "no job can start");
+
+    // requests late enough to land past the horizon are left out: past
+    // 20 means before it, a landing is missed with probability e^-20
+    let last_request = requests * t_inf - 20.0 * mean;
+    let delays: Vec<f64> = sim
+        .jobs()
+        .iter()
+        .map(|rec| (rec.submitted_at().as_secs() + t_inf, rec.terminated_at()))
+        .filter(|&(requested, _)| requested < last_request)
+        .map(|(requested, landed)| landed.expect("a cancellation lands").as_secs() - requested)
+        .collect();
+    let k = delays.len() as f64;
+    assert!(k > 19_000.0, "{k} requests");
+    let measured = delays.iter().sum::<f64>() / k;
+    let tol = Z * mean / k.sqrt();
+    assert!(
+        (measured - mean).abs() <= tol,
+        "mean delay {measured} against {mean}, tolerance {tol} (z = {Z})"
+    );
+    // Kolmogorov–Smirnov at the 0.01% level: √k·D ≤ √(ln(2/α)/2) = 2.23
+    let d = ks_statistic(&delays, &Exponential::new(1.0 / mean).unwrap());
+    assert!(
+        k.sqrt() * d <= 2.23,
+        "KS distance {d} from Exp(mean {mean}) over {k} delays"
     );
 }
