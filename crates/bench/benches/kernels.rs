@@ -1,8 +1,9 @@
 //! Criterion benches for the numerical kernels behind the strategy models:
 //! ECDF construction and integral queries, the eq. 1–5 evaluations, and the
 //! optimizers. Eqs. 1–4 are the echelon law at `t0 = t∞` (the ids keep the
-//! paper's equation numbers, so runs line up across commits). These are the operations a client-side scheduler would run
-//! online, so their costs matter beyond reproduction. The `sampling` group
+//! paper's equation numbers, so runs line up across commits). These are the
+//! operations a client-side scheduler would run online, so their costs
+//! matter beyond reproduction. The `sampling` group
 //! times the pieces of one Monte-Carlo trial below the executor: seed
 //! derivation and latency draws.
 
